@@ -1,22 +1,24 @@
-"""Vectorised-default hot-path benchmark: per-job serial vs auto engine.
+"""Hot-path benchmark: per-sample loop vs seeded Monte-Carlo blocks.
 
-The tentpole claim of the vectorised default: a PVT Monte-Carlo sweep whose
-spec carries a ``batch_fn`` runs whole chunks as single NumPy passes (the
-deterministic mean discharge and the mismatch sigma are hoisted out of the
-per-sample loop), and the engine selects that strategy **by default** — no
-``--executor`` flag, no caller opt-in.  This benchmark measures the hot
-path both ways on the same fitted OPTIMA suite:
+A PVT Monte-Carlo sweep runs in blocks of ``MC_BLOCK`` samples: one job,
+one generator, one ``standard_normal`` draw and one reduction per block
+(:func:`repro.core.pvt.monte_carlo_error_distribution`).  This benchmark
+measures that path against the per-sample work it replaces, on the same
+fitted OPTIMA suite:
 
-* **per-job serial** — one Python pass per Monte-Carlo sample, the
-  pre-vectorisation behaviour (``SweepEngine(make_executor("serial"))``);
-* **vectorised default** — an auto engine (``SweepEngine()`` built with no
-  executor), which routes the ``batch_fn``-carrying spec through the batch
-  strategy.
+* **per-sample loop** — one ``SeedSequence`` child, one generator and one
+  call of the public ``InSramMultiplier.multiply(x, d, rng=...)`` per
+  sample, reduced with one ``np.mean`` per sample;
+* **blocks** — ``monte_carlo_error_distribution`` through the serial, the
+  process-pool parallel and the auto engine (``SweepEngine()``, no
+  executor).
 
-Both must produce bit-identical error distributions; the vectorised
-default must be at least 2x faster.  The PVT sensitivity sweep (supply +
-temperature axes through ``analyze_corner_robustness``) is measured the
-same way as a secondary record.
+The three block runs must be bit-identical; the auto engine must be at
+least 2x faster than both the per-sample loop and the parallel engine.  The
+per-sample loop draws a different random stream, so it is compared on time
+only.  The PVT sensitivity sweep (supply + temperature axes through
+``analyze_corner_robustness``, whose spec carries a vectorised
+``batch_fn``) is measured serial vs auto as a secondary record.
 
 Usage::
 
@@ -47,6 +49,7 @@ from repro.core.calibration import calibrate
 from repro.core.characterization import CharacterizationPlan
 from repro.core.pvt import analyze_corner_robustness, monte_carlo_error_distribution
 from repro.multiplier.config import MultiplierConfig
+from repro.multiplier.imac import InSramMultiplier
 from repro.runtime import SweepEngine, make_executor
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
@@ -72,8 +75,21 @@ def _best_of(fn) -> Tuple[float, object]:
     return best, result
 
 
+def _per_sample_loop(suite, config, samples: int, seed: int) -> np.ndarray:
+    """The per-sample baseline: one generator and one multiply per sample."""
+    multiplier = InSramMultiplier(suite, config)
+    x_grid, d_grid = multiplier.input_space()
+    expected = (x_grid * d_grid).astype(float)
+    errors = []
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        rng = np.random.default_rng(child)
+        result = multiplier.multiply(x_grid, d_grid, rng=rng)
+        errors.append(np.mean(np.abs(result - expected)))
+    return np.asarray(errors)
+
+
 def run_benchmark(smoke: bool = False) -> dict:
-    """Measure per-job serial vs vectorised default; returns the record."""
+    """Measure the per-sample loop vs Monte-Carlo blocks; returns the record."""
     cores = os.cpu_count() or 1
     samples = 64 if smoke else 256
 
@@ -81,36 +97,27 @@ def run_benchmark(smoke: bool = False) -> dict:
     config = _bench_config()
 
     # --- Monte-Carlo error distribution over the full input space --------
-    serial_seconds, serial_errors = _best_of(
-        lambda: monte_carlo_error_distribution(
-            suite,
-            config,
-            samples=samples,
-            seed=_SEED,
-            engine=SweepEngine(make_executor("serial")),
+    def blocks(engine: SweepEngine):
+        return lambda: monte_carlo_error_distribution(
+            suite, config, samples=samples, seed=_SEED, engine=engine
         )
+
+    per_sample_seconds, per_sample_errors = _best_of(
+        lambda: _per_sample_loop(suite, config, samples, _SEED)
     )
+    serial_seconds, serial_errors = _best_of(blocks(SweepEngine(make_executor("serial"))))
     parallel_seconds, parallel_errors = _best_of(
-        lambda: monte_carlo_error_distribution(
-            suite,
-            config,
-            samples=samples,
-            seed=_SEED,
-            engine=SweepEngine(make_executor("parallel")),
-        )
+        blocks(SweepEngine(make_executor("parallel")))
     )
-    auto_seconds, auto_errors = _best_of(
-        lambda: monte_carlo_error_distribution(
-            suite, config, samples=samples, seed=_SEED
-        )
+    auto_seconds, auto_errors = _best_of(blocks(SweepEngine()))
+    assert per_sample_errors.shape == serial_errors.shape == (samples,)
+    assert serial_errors.tobytes() == auto_errors.tobytes(), (
+        "auto engine diverged from the serial Monte-Carlo blocks"
     )
-    assert np.array_equal(serial_errors, auto_errors), (
-        "vectorised default diverged from the per-job serial Monte-Carlo"
+    assert serial_errors.tobytes() == parallel_errors.tobytes(), (
+        "parallel engine diverged from the serial Monte-Carlo blocks"
     )
-    assert np.array_equal(serial_errors, parallel_errors), (
-        "per-job parallel diverged from the per-job serial Monte-Carlo"
-    )
-    mc_speedup = serial_seconds / max(auto_seconds, 1e-9)
+    mc_speedup = per_sample_seconds / max(auto_seconds, 1e-9)
     parallel_speedup = parallel_seconds / max(auto_seconds, 1e-9)
 
     # --- PVT sensitivity sweep (supply + temperature axes) ---------------
@@ -137,6 +144,7 @@ def run_benchmark(smoke: bool = False) -> dict:
         "smoke": smoke,
         "monte_carlo_samples": samples,
         "repeats": _REPEATS,
+        "per_sample_seconds": per_sample_seconds,
         "serial_seconds": serial_seconds,
         "parallel_seconds": parallel_seconds,
         "vectorised_seconds": auto_seconds,
@@ -149,13 +157,13 @@ def run_benchmark(smoke: bool = False) -> dict:
     }
 
     lines = [
-        f"vectorised-default hot path ({samples} Monte-Carlo samples, "
-        f"best of {_REPEATS})",
+        f"Monte-Carlo hot path ({samples} samples, best of {_REPEATS})",
         f"  cores={cores}",
-        f"  per-job serial       : {serial_seconds:.3f} s",
-        f"  per-job parallel     : {parallel_seconds:.3f} s",
-        f"  vectorised default   : {auto_seconds:.3f} s",
-        f"  speedup vs serial    : {mc_speedup:.2f}x (bit-identical)",
+        f"  per-sample loop      : {per_sample_seconds:.3f} s",
+        f"  blocks, serial       : {serial_seconds:.3f} s",
+        f"  blocks, parallel     : {parallel_seconds:.3f} s",
+        f"  blocks, auto         : {auto_seconds:.3f} s",
+        f"  speedup vs per-sample: {mc_speedup:.2f}x",
         f"  speedup vs parallel  : {parallel_speedup:.2f}x (bit-identical)",
         f"  PVT sensitivity sweep: {pvt_serial_seconds:.3f} s -> "
         f"{pvt_auto_seconds:.3f} s ({pvt_speedup:.2f}x, bit-identical)",
@@ -169,12 +177,12 @@ def run_benchmark(smoke: bool = False) -> dict:
 
     if cores >= 4 and not smoke:
         assert mc_speedup >= 2.0, (
-            f"vectorised default must be >= 2x the per-job serial hot path "
+            f"Monte-Carlo blocks must be >= 2x the per-sample loop "
             f"({cores} cores), got {mc_speedup:.2f}x"
         )
         assert parallel_speedup >= 2.0, (
-            f"vectorised default must be >= 2x the per-job parallel executor "
-            f"({cores} cores), got {parallel_speedup:.2f}x"
+            f"Monte-Carlo blocks on the auto engine must be >= 2x the "
+            f"parallel engine ({cores} cores), got {parallel_speedup:.2f}x"
         )
     return record
 
@@ -186,7 +194,7 @@ def test_vectorised_default_hot_path():
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Per-job serial vs vectorised-default PVT hot path"
+        description="Per-sample loop vs seeded Monte-Carlo blocks on the PVT hot path"
     )
     parser.add_argument(
         "--smoke",

@@ -80,7 +80,7 @@ def calibrate(
 # ----------------------------------------------------------------------
 # Shared cache
 # ----------------------------------------------------------------------
-_CACHE: Dict[Tuple[str, int], CalibrationResult] = {}
+_CACHE: Dict[Tuple[TechnologyCard, CharacterizationPlan, ModelDegrees], CalibrationResult] = {}
 
 
 def calibrated_suite(
@@ -91,15 +91,20 @@ def calibrated_suite(
 ) -> CalibrationResult:
     """Cached variant of :func:`calibrate`.
 
-    The in-process cache key combines the technology name and the plan
-    contents, so asking for the same calibration twice (as the benchmark
+    The in-process cache is keyed on the technology card, plan and degrees
+    themselves (frozen dataclasses: equality and hashing cover every
+    field), so asking for the same calibration twice (as the benchmark
     suite does) re-uses the result instead of re-running the reference
-    sweeps.  On top of that, passing an ``engine`` with an attached
-    :class:`repro.runtime.ArtifactCache` persists the characterisation
-    sweeps on disk, so even a *fresh process* skips the reference solver.
+    sweeps, while a card that differs in any field — including a
+    :meth:`~repro.circuits.technology.TechnologyCard.scaled` copy that
+    keeps the name — is calibrated afresh.  On top of that, passing an
+    ``engine`` with an attached :class:`repro.runtime.ArtifactCache`
+    persists the characterisation sweeps on disk, so even a *fresh
+    process* skips the reference solver.
     """
     plan = plan or CharacterizationPlan()
-    key = (technology.name, hash((plan, degrees)))
+    degrees = degrees or ModelDegrees()
+    key = (technology, plan, degrees)
     if key not in _CACHE:
         _CACHE[key] = calibrate(technology, plan, degrees, engine=engine)
     return _CACHE[key]

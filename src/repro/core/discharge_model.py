@@ -29,7 +29,7 @@ multiplier model consume.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -163,16 +163,24 @@ class DischargeModel:
         vdd: Optional[ArrayLike] = None,
         temperature: Optional[ArrayLike] = None,
         stored_bit: int = 1,
+        count: Optional[int] = None,
     ) -> np.ndarray:
-        """Draw one mismatch-perturbed bit-line voltage per broadcast element."""
+        """Draw one mismatch-perturbed bit-line voltage per broadcast element.
+
+        With ``count``, the result gains a leading axis of ``count``
+        independent samples: the mean and sigma are evaluated once and the
+        perturbations come from one ``rng.standard_normal`` draw, so a
+        block of Monte-Carlo samples costs one pass, not ``count``.
+        """
         mean = self.bitline_voltage(
             time, wordline_voltage, vdd=vdd, temperature=temperature, stored_bit=stored_bit
         )
+        size = np.shape(mean) if count is None else (count,) + np.shape(mean)
         if stored_bit == 0:
-            return mean
+            return np.broadcast_to(mean, size).copy()
         sigma = self.mismatch_sigma(time, wordline_voltage)
         sigma = np.broadcast_to(sigma, np.shape(mean))
-        return mean + rng.normal(0.0, 1.0, size=np.shape(mean)) * sigma
+        return mean + rng.standard_normal(size) * sigma
 
     def sample_discharge(
         self,
@@ -182,8 +190,9 @@ class DischargeModel:
         vdd: Optional[ArrayLike] = None,
         temperature: Optional[ArrayLike] = None,
         stored_bit: int = 1,
+        count: Optional[int] = None,
     ) -> np.ndarray:
-        """Draw one mismatch-perturbed discharge value per broadcast element."""
+        """Draw mismatch-perturbed discharges (``count``: leading sample axis)."""
         vdd_value = self.vdd_nominal if vdd is None else np.asarray(vdd, dtype=float)
         voltage = self.sample_bitline_voltage(
             time,
@@ -192,43 +201,9 @@ class DischargeModel:
             vdd=vdd_value,
             temperature=temperature,
             stored_bit=stored_bit,
+            count=count,
         )
         return np.maximum(np.asarray(vdd_value, dtype=float) - voltage, 0.0)
-
-    def sample_discharge_stack(
-        self,
-        time: ArrayLike,
-        wordline_voltage: ArrayLike,
-        rngs: Sequence[np.random.Generator],
-        vdd: Optional[ArrayLike] = None,
-        temperature: Optional[ArrayLike] = None,
-        stored_bit: int = 1,
-    ) -> np.ndarray:
-        """Mismatch-perturbed discharges for a stack of generators.
-
-        The deterministic mean and sigma are evaluated **once** and shared
-        by every generator; each generator then contributes one perturbed
-        draw on a new leading axis.  Row ``i`` of the result is bit-identical
-        to ``sample_discharge(time, wordline_voltage, rngs[i], ...)`` because
-        the per-generator work is exactly the same ``rng.normal`` call and
-        the same elementwise arithmetic — only the (expensive) polynomial
-        evaluations are hoisted out of the loop.  This is the whole-chunk
-        inner loop of the Monte-Carlo hot path.
-        """
-        vdd_value = self.vdd_nominal if vdd is None else np.asarray(vdd, dtype=float)
-        mean = self.bitline_voltage(
-            time, wordline_voltage, vdd=vdd_value, temperature=temperature, stored_bit=stored_bit
-        )
-        if stored_bit == 0:
-            stacked = np.broadcast_to(mean, (len(rngs),) + np.shape(mean)).copy()
-        else:
-            sigma = np.broadcast_to(
-                self.mismatch_sigma(time, wordline_voltage), np.shape(mean)
-            )
-            stacked = np.stack(
-                [mean + rng.normal(0.0, 1.0, size=np.shape(mean)) * sigma for rng in rngs]
-            )
-        return np.maximum(np.asarray(vdd_value, dtype=float) - stacked, 0.0)
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -100,8 +100,14 @@ class OptimaModelSuite:
         rng: np.random.Generator,
         conditions: Optional[OperatingConditions] = None,
         stored_bit: int = 1,
+        count: Optional[int] = None,
     ) -> np.ndarray:
-        """Mismatch-sampled discharge under the given conditions."""
+        """Mismatch-sampled discharge under the given conditions.
+
+        ``count`` adds a leading axis of that many independent samples
+        drawn from ``rng`` in one pass (see
+        :meth:`DischargeModel.sample_bitline_voltage`).
+        """
         vdd, temperature = self._split_conditions(conditions)
         return self.discharge.sample_discharge(
             time,
@@ -110,31 +116,7 @@ class OptimaModelSuite:
             vdd=vdd,
             temperature=temperature,
             stored_bit=stored_bit,
-        )
-
-    def sample_discharge_voltage_stack(
-        self,
-        time: ArrayLike,
-        wordline_voltage: ArrayLike,
-        rngs: Sequence[np.random.Generator],
-        conditions: Optional[OperatingConditions] = None,
-        stored_bit: int = 1,
-    ) -> np.ndarray:
-        """Mismatch-sampled discharges for a stack of generators.
-
-        One leading axis per generator; row ``i`` is bit-identical to
-        :meth:`sample_discharge_voltage` with ``rngs[i]`` (the vectorised
-        Monte-Carlo inner loop — mean and sigma evaluated once, not per
-        sample).
-        """
-        vdd, temperature = self._split_conditions(conditions)
-        return self.discharge.sample_discharge_stack(
-            time,
-            wordline_voltage,
-            rngs,
-            vdd=vdd,
-            temperature=temperature,
-            stored_bit=stored_bit,
+            count=count,
         )
 
     def mismatch_sigma(self, time: ArrayLike, wordline_voltage: ArrayLike) -> np.ndarray:

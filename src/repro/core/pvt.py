@@ -10,6 +10,10 @@ For each selected corner the paper reports:
 Both analyses run on the fast OPTIMA-backed multiplier, which is the whole
 point of the framework: a PVT sweep over three corners finishes in
 milliseconds instead of the hours a transistor-level corner sweep costs.
+
+The mismatch Monte-Carlo of the mean error
+(:func:`monte_carlo_error_distribution`) runs in seeded blocks of
+:data:`MC_BLOCK` samples, one engine job per block.
 """
 
 from __future__ import annotations
@@ -213,56 +217,30 @@ def analyze_corners(
     }
 
 
-def _monte_carlo_sample(
+#: Monte-Carlo samples per block job.  A block is the unit of Monte-Carlo
+#: work: one job, one generator, one ``standard_normal`` draw and one
+#: reduction.  A fixed constant, so results never depend on the schedule.
+MC_BLOCK = 64
+
+
+def _monte_carlo_block(
     multiplier: InSramMultiplier,
     conditions: OperatingConditions,
     seed_sequence: np.random.SeedSequence,
-) -> float:
-    """One Monte-Carlo sample of the mean multiplication error.
+    count: int,
+) -> np.ndarray:
+    """Mean multiplication error of ``count`` Monte-Carlo samples.
 
-    The sample owns a dedicated :class:`numpy.random.SeedSequence` child, so
-    its draws are independent of every other sample and of the execution
-    schedule — serial and parallel runs produce bit-identical values.  The
-    multiplier is built once by the caller and shared across samples.
+    The block owns one :class:`numpy.random.SeedSequence` child and draws
+    every sample's mismatch from one generator in one call
+    (:meth:`InSramMultiplier.multiply_mc_samples`).  The per-sample errors
+    are integers, so the one ``np.mean`` over the input-space axes is exact.
     """
     x_grid, d_grid = multiplier.input_space()
-    expected = (x_grid * d_grid).astype(float)
+    expected = x_grid * d_grid
     rng = np.random.default_rng(seed_sequence)
-    result = multiplier.multiply(x_grid, d_grid, conditions=conditions, rng=rng)
-    return float(np.mean(np.abs(result - expected)))
-
-
-def _monte_carlo_batch(jobs: Sequence[Job]) -> List[float]:
-    """Whole-chunk evaluator for :func:`_monte_carlo_sample` jobs.
-
-    Every sample of a Monte-Carlo sweep shares the multiplier and the
-    operating point and differs only in its :class:`~numpy.random.SeedSequence`
-    child, so a whole group of samples is one stacked NumPy pass
-    (:meth:`InSramMultiplier.multiply_mc_samples`): the deterministic mean
-    discharge and the mismatch sigma are evaluated once per group instead
-    of once per sample, while each sample keeps its own generator and its
-    own ``rng.normal`` draw — bit-identical to the per-job path.  A chunk
-    that is not the homogeneous Monte-Carlo shape falls back to per-job
-    execution.
-    """
-    if not jobs:
-        return []
-    first = jobs[0]
-    if any(
-        job.fn is not _monte_carlo_sample
-        or job.kwargs
-        or len(job.args) != 3
-        or job.args[0] is not first.args[0]
-        or job.args[1] is not first.args[1]
-        for job in jobs
-    ):
-        return [job.run() for job in jobs]
-    multiplier, conditions, _ = first.args
-    rngs = [np.random.default_rng(job.args[2]) for job in jobs]
-    x_grid, d_grid = multiplier.input_space()
-    expected = (x_grid * d_grid).astype(float)
-    results = multiplier.multiply_mc_samples(x_grid, d_grid, rngs, conditions=conditions)
-    return [float(np.mean(np.abs(sample - expected))) for sample in results]
+    results = multiplier.multiply_mc_samples(x_grid, d_grid, rng, count, conditions)
+    return np.mean(np.abs(results - expected), axis=(-2, -1))
 
 
 def monte_carlo_error_distribution(
@@ -280,11 +258,12 @@ def monte_carlo_error_distribution(
     sample.  This is the fast-model counterpart of the reference
     Monte-Carlo runs used in the speed-up comparison.
 
-    Per-sample seeds are derived with ``np.random.SeedSequence(seed).spawn``
-    rather than by drawing from one sequential generator, so the estimate is
-    independent of how the samples are scheduled: a parallel engine returns
-    bit-identical sigma estimates to the serial one (asserted in
-    ``tests/test_runtime_engine.py``).
+    The samples are split into blocks of :data:`MC_BLOCK` (the last one may
+    be partial), one job per block.  Block ``i`` is seeded with child ``i``
+    of ``np.random.SeedSequence(seed).spawn``, which depends only on
+    ``(seed, i)``, so every executor runs the same blocks and returns
+    bit-identical values (asserted in ``tests/test_runtime_engine.py``), and
+    ``samples=N`` is a prefix of ``samples=M`` for ``M > N``.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -293,16 +272,14 @@ def monte_carlo_error_distribution(
     )
     engine = engine or SweepEngine()
     multiplier = InSramMultiplier(suite, config, conditions=nominal)
-    children = np.random.SeedSequence(seed).spawn(samples)
+    children = np.random.SeedSequence(seed).spawn(-(-samples // MC_BLOCK))
     jobs = [
         Job(
-            fn=_monte_carlo_sample,
-            args=(multiplier, nominal, child),
+            fn=_monte_carlo_block,
+            args=(multiplier, nominal, child, min(MC_BLOCK, samples - index * MC_BLOCK)),
             name=f"monte-carlo[{index}]",
         )
         for index, child in enumerate(children)
     ]
-    errors = engine.run(
-        SweepSpec(f"monte-carlo:{config.name}", jobs, batch_fn=_monte_carlo_batch)
-    )
-    return np.asarray(errors, dtype=float)
+    blocks = engine.run(SweepSpec(f"monte-carlo:{config.name}", jobs))
+    return np.concatenate(blocks)

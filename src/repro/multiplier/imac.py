@@ -114,12 +114,14 @@ class InSramMultiplier:
         d: ArrayLike,
         conditions: Optional[OperatingConditions] = None,
         rng: Optional[np.random.Generator] = None,
+        count: Optional[int] = None,
     ) -> np.ndarray:
         """Per-bit-line discharge voltages, shape ``broadcast(x, d) + (bits,)``.
 
         With ``rng`` provided, each discharge is perturbed by the
         mismatch-sigma model (paper Eq. 6); without it, the deterministic
-        mean behaviour is returned.
+        mean behaviour is returned.  ``count`` (with ``rng``) prepends an
+        axis of that many independent mismatch samples.
         """
         conditions = conditions or self.conditions
         x = np.asarray(x, dtype=int)
@@ -134,35 +136,8 @@ class InSramMultiplier:
             discharge = self.suite.discharge_voltage(times, v_wl, conditions)
         else:
             discharge = self.suite.sample_discharge_voltage(
-                times, v_wl, rng, conditions
+                times, v_wl, rng, conditions, count=count
             )
-        return discharge * bits
-
-    def bitline_discharge_samples(
-        self,
-        x: ArrayLike,
-        d: ArrayLike,
-        rngs: Sequence[np.random.Generator],
-        conditions: Optional[OperatingConditions] = None,
-    ) -> np.ndarray:
-        """Mismatch-sampled per-bit-line discharges for a stack of generators.
-
-        Shape ``(len(rngs),) + broadcast(x, d) + (bits,)``; row ``i`` is
-        bit-identical to ``bitline_discharges(x, d, conditions, rngs[i])``.
-        The deterministic mean discharge and the mismatch sigma are
-        evaluated once for the whole stack instead of once per generator.
-        """
-        conditions = conditions or self.conditions
-        x = np.asarray(x, dtype=int)
-        if np.any(x < 0) or np.any(x > self.config.max_operand):
-            raise ValueError(
-                f"input operand out of range 0..{self.config.max_operand}"
-            )
-        bits = self._weight_bits(np.asarray(d))
-        v_wl = self.wordline_voltage(x)[..., np.newaxis]
-        discharge = self.suite.sample_discharge_voltage_stack(
-            self._discharge_times, v_wl, rngs, conditions
-        )
         return discharge * bits
 
     def combined_discharge(
@@ -241,18 +216,22 @@ class InSramMultiplier:
         self,
         x: ArrayLike,
         d: ArrayLike,
-        rngs: Sequence[np.random.Generator],
+        rng: np.random.Generator,
+        count: int,
         conditions: Optional[OperatingConditions] = None,
     ) -> np.ndarray:
-        """Digital results for a stack of mismatch generators, one NumPy pass.
+        """Digital results of ``count`` mismatch samples, one NumPy pass.
 
-        Shape ``(len(rngs),) + broadcast(x, d)``; row ``i`` is bit-identical
-        to ``multiply(x, d, conditions=conditions, rng=rngs[i])`` — the
-        charge-sharing average, ADC quantisation and read-out mapping are
-        all elementwise (or last-axis) operations, so evaluating the whole
-        sample stack in one pass changes nothing but the wall-clock.
+        Shape ``(count,) + broadcast(x, d)``.  The mean discharge and the
+        mismatch sigma are evaluated once and every sample's perturbation
+        comes from one ``rng.standard_normal`` draw; charge sharing, ADC
+        quantisation and read-out are elementwise (or last-axis), so the
+        whole block is a single pass.  The draw fills its output in C order,
+        so the first ``k`` rows do not depend on ``count >= k``.
         """
-        discharges = self.bitline_discharge_samples(x, d, rngs, conditions=conditions)
+        discharges = self.bitline_discharges(
+            x, d, conditions=conditions, rng=rng, count=count
+        )
         return self._decode_voltage(self.combiner.combine_discharges(discharges))
 
     def multiply_at_conditions(

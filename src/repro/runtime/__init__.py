@@ -98,7 +98,7 @@ _RUN_SECONDS = obs.histogram("repro_engine_run_seconds", "Wall time of completed
 
 #: Jobs per vectorised batch when the engine auto-selects the batch
 #: strategy for a ``batch_fn``-carrying spec.  Large enough to amortise
-#: per-pass Python overhead across a Monte-Carlo / corner-grid group,
+#: per-pass Python overhead across a corner-grid / PVT-sensitivity group,
 #: small enough that cooperative cancellation still lands within a
 #: reasonable boundary.
 AUTO_BATCH_SIZE = 64

@@ -170,8 +170,9 @@ class TestCornerRobustness:
         assert errors.shape == (20,)
         assert np.all(errors >= 0.0)
         assert float(np.std(errors)) > 0.0
-        with pytest.raises(ValueError):
-            monte_carlo_error_distribution(suite, fom_config, samples=0)
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match="samples must be positive"):
+                monte_carlo_error_distribution(suite, fom_config, samples=samples)
 
 
 class TestSpeedup:

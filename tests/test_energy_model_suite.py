@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.conditions import OperatingConditions
-from repro.core.calibration import calibrated_suite, clear_calibration_cache
+from repro.core.calibration import calibrate, calibrated_suite, clear_calibration_cache
 from repro.core.characterization import CharacterizationPlan
 from repro.core.energy_model import DischargeEnergyModel, WriteEnergyModel
 from repro.core.model_suite import OptimaModelSuite
@@ -106,6 +106,23 @@ class TestCalibrationCache:
         first = calibrated_suite(technology, plan)
         second = calibrated_suite(technology, plan)
         assert first is second
+        clear_calibration_cache()
+
+    def test_scaled_card_with_same_name_is_not_served_stale(self):
+        """Regression: the memo was keyed on the card's *name*, so a
+        ``scaled()`` copy (same name) got the unscaled card's suite back."""
+        clear_calibration_cache()
+        plan = CharacterizationPlan.quick()
+        technology = tsmc65_like()
+        scaled = technology.scaled(vdd_nominal=1.3)
+        assert scaled.name == technology.name
+        unscaled = calibrated_suite(technology, plan)
+        rescaled = calibrated_suite(scaled, plan)
+        assert rescaled is not unscaled
+        assert rescaled.suite.vdd_nominal == 1.3
+        assert rescaled.suite.to_dict() != unscaled.suite.to_dict()
+        assert rescaled.suite.to_dict() == calibrate(scaled, plan).suite.to_dict()
+        assert calibrated_suite(technology, plan) is unscaled
         clear_calibration_cache()
 
     def test_describe_mentions_technology(self, quick_calibration):

@@ -169,8 +169,7 @@ def _diff_batch(jobs) -> list:
     """Whole-group evaluator: one stacked NumPy pass over the batch.
 
     Each stream keeps its own generator and its identical ``standard_normal``
-    call, so the stacked cumulative sum is bit-identical to the per-job path
-    — the same hoisting pattern the PVT Monte-Carlo batch uses.
+    call, so the stacked cumulative sum is bit-identical to the per-job path.
     """
     size = jobs[0].args[1]
     stacked = np.stack(
@@ -510,3 +509,43 @@ class TestSchedulerProperties:
             assert all(total == count for _, total in ticks)
 
         asyncio.run(scenario())
+
+
+class TestMonteCarloBlockProperties:
+    """Seeded Monte-Carlo blocks: the cluster runs the same block jobs as
+    the serial engine (the in-process executors are compared in
+    ``tests/test_runtime_engine.py``), and a shorter run is a prefix of a
+    longer one with the same seed."""
+
+    @pytest.mark.parametrize("samples", [1, 63, 64, 65, 200])
+    def test_distributed_matches_serial_byte_identical(
+        self, diff_cluster, quick_suite, fom_config, samples
+    ):
+        from repro.core.pvt import monte_carlo_error_distribution
+        from repro.runtime import SweepEngine, make_executor
+
+        def run(executor):
+            return monte_carlo_error_distribution(
+                quick_suite, fom_config, samples=samples, seed=samples,
+                engine=SweepEngine(executor),
+            )
+
+        reference = run(make_executor("serial"))
+        _assert_byte_identical([reference], [run(diff_cluster)])
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        shorter=st.integers(min_value=1, max_value=150),
+        extra=st.integers(min_value=1, max_value=150),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_shorter_run_is_prefix(self, quick_suite, fom_config, seed, shorter, extra):
+        from repro.core.pvt import monte_carlo_error_distribution
+
+        short = monte_carlo_error_distribution(
+            quick_suite, fom_config, samples=shorter, seed=seed
+        )
+        long = monte_carlo_error_distribution(
+            quick_suite, fom_config, samples=shorter + extra, seed=seed
+        )
+        assert short.tobytes() == long[:shorter].tobytes()

@@ -5,7 +5,8 @@ The load-bearing guarantees:
 * serial, process-pool parallel and vectorised batch executors produce
   bit-identical, order-preserving results on the same jobs;
 * the design-space exploration and Monte-Carlo PVT flows are
-  schedule-independent (parallel == serial, element for element);
+  schedule-independent (parallel == serial, element for element), and
+  Monte-Carlo runs one job per seeded block of ``MC_BLOCK`` samples;
 * cacheable jobs are served from the artifact cache on re-runs;
 * the unified CLI drives a full DSE run end-to-end through the engine.
 """
@@ -20,7 +21,8 @@ import pytest
 
 from repro.core.characterization import CharacterizationPlan, characterize
 from repro.core.dse import DesignSpace, explore_design_space
-from repro.core.pvt import monte_carlo_error_distribution
+from repro.core.model_suite import OptimaModelSuite
+from repro.core.pvt import MC_BLOCK, monte_carlo_error_distribution
 from repro.runtime import (
     Artifact,
     ArtifactCache,
@@ -265,6 +267,24 @@ class TestScheduleIndependence:
         assert float(np.std(serial)) == float(np.std(parallel))
         assert float(np.std(serial)) > 0.0
 
+    def test_dse_corner_keys_follow_suite_content(self, quick_suite, tmp_path):
+        """The suite is fingerprinted once per sweep; changing any of its
+        content must still change every corner's cache key."""
+        space = DesignSpace.quick()
+        changed_dict = quick_suite.to_dict()
+        changed_dict["discharge"]["threshold_voltage"] += 1e-3
+        changed = OptimaModelSuite.from_dict(changed_dict)
+
+        def corner_keys(suite, root):
+            cache = ArtifactCache(root)
+            explore_design_space(suite, space, engine=SweepEngine(cache=cache))
+            return set(cache.keys())
+
+        original = corner_keys(quick_suite, tmp_path / "original")
+        assert len(original) == space.corner_count
+        assert corner_keys(quick_suite, tmp_path / "again") == original
+        assert corner_keys(changed, tmp_path / "changed").isdisjoint(original)
+
     def test_characterization_parallel_matches_serial(self, technology):
         plan = CharacterizationPlan.quick()
         serial = characterize(technology, plan)
@@ -283,6 +303,38 @@ class TestScheduleIndependence:
         np.testing.assert_array_equal(
             serial.discharge_energy.energy, parallel.discharge_energy.energy
         )
+
+
+class TestMonteCarloBlocks:
+    """Monte-Carlo samples run as seeded blocks of ``MC_BLOCK``: one job
+    per block, the same blocks on every executor."""
+
+    def test_one_job_per_block(self, quick_suite, fom_config):
+        engine = SweepEngine()
+        errors = monte_carlo_error_distribution(
+            quick_suite, fom_config, samples=256, seed=3, engine=engine
+        )
+        assert MC_BLOCK == 64
+        assert errors.shape == (256,)
+        assert engine.stats.jobs_submitted == 4
+
+    @pytest.mark.parametrize("samples", [1, 63, 64, 65, 200])
+    def test_in_process_executors_byte_identical(self, quick_suite, fom_config, samples):
+        def run(engine):
+            return monte_carlo_error_distribution(
+                quick_suite, fom_config, samples=samples, seed=11, engine=engine
+            )
+
+        reference = run(SweepEngine(SerialExecutor()))
+        assert reference.shape == (samples,)
+        for engine in (
+            SweepEngine(),
+            SweepEngine(BatchExecutor(batch_size=3)),
+            SweepEngine(ParallelExecutor(max_workers=2, chunksize=1)),
+        ):
+            candidate = run(engine)
+            assert candidate.dtype == reference.dtype
+            assert candidate.tobytes() == reference.tobytes()
 
 
 class TestCli:
