@@ -194,6 +194,82 @@ def saturation_voltage(overdrive: ArrayLike, alpha: float) -> np.ndarray:
     return overdrive ** (alpha / 2.0)
 
 
+@dataclasses.dataclass(frozen=True)
+class GateTerms:
+    """The parts of the I-V equation that depend on the gate voltage only.
+
+    A device whose gate voltage is fixed while its drain voltage varies
+    (the pull-down of the discharge stack, gate tied to VDD) evaluates these
+    once with :func:`gate_terms` and then calls :func:`current_from_gate_terms`
+    for every drain voltage, which saves two ``pow`` and one ``exp`` per
+    point.
+
+    Attributes
+    ----------
+    overdrive:
+        ``V_GS - V_th``.
+    subthreshold_scale:
+        ``I_leak * exp(sub_exponent)``, the sub-threshold current before
+        the drain saturation factor.
+    vdsat:
+        Drain saturation voltage of the positive overdrive.
+    saturation_scale:
+        ``K * max(V_GS - V_th, 0) ** alpha``, the saturation current before
+        channel-length modulation.
+    """
+
+    overdrive: np.ndarray
+    subthreshold_scale: np.ndarray
+    vdsat: np.ndarray
+    saturation_scale: np.ndarray
+
+
+def gate_terms(params: MosfetParameters, vgs: ArrayLike) -> GateTerms:
+    """Evaluate the gate-only terms of the I-V equation at ``vgs``."""
+    overdrive = np.asarray(vgs, dtype=float) - params.threshold_voltage
+    n_factor = params.subthreshold_swing / (np.log(10.0) * params.thermal_voltage)
+    sub_exponent = np.clip(
+        np.minimum(overdrive, 0.0) / (n_factor * params.thermal_voltage), -80.0, 0.0
+    )
+    overdrive_pos = np.maximum(overdrive, 0.0)
+    return GateTerms(
+        overdrive=overdrive,
+        subthreshold_scale=params.leak_current * np.exp(sub_exponent),
+        vdsat=saturation_voltage(overdrive_pos, params.alpha),
+        saturation_scale=params.gain * overdrive_pos**params.alpha,
+    )
+
+
+def current_from_gate_terms(
+    params: MosfetParameters, gate: GateTerms, vds: ArrayLike
+) -> np.ndarray:
+    """Finish the I-V equation for precomputed ``gate`` terms at ``vds``.
+
+    The products keep the left-to-right order of the full equation, so
+    ``current_from_gate_terms(p, gate_terms(p, vgs), vds)`` is bit-identical
+    to evaluating it in one piece.
+    """
+    vds_clipped = np.maximum(np.asarray(vds, dtype=float), 0.0)
+
+    # --- sub-threshold component -------------------------------------
+    i_sub = gate.subthreshold_scale * (
+        1.0 - np.exp(-vds_clipped / params.thermal_voltage)
+    )
+
+    # --- strong-inversion component ----------------------------------
+    vdsat = gate.vdsat
+    i_sat = gate.saturation_scale * (
+        1.0 + params.channel_length_modulation * vds_clipped
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(vdsat > 0.0, np.minimum(vds_clipped / np.maximum(vdsat, 1e-12), 1.0), 0.0)
+    i_triode = i_sat * (2.0 - ratio) * ratio
+    i_strong = np.where(vds_clipped >= vdsat, i_sat, i_triode)
+
+    current = np.where(gate.overdrive > 0.0, i_strong + i_sub, i_sub)
+    return np.maximum(current, 0.0)
+
+
 def drain_current_from_parameters(
     params: MosfetParameters,
     vgs: ArrayLike,
@@ -202,41 +278,18 @@ def drain_current_from_parameters(
     """Evaluate the alpha-power-law I-V equation for a fixed parameter set.
 
     Split out of :class:`NmosDevice` so the transient solver can hoist the
-    (scalar) parameter extraction out of its inner integration loop.
+    (scalar) parameter extraction out of its inner integration loop.  The
+    equation is evaluated in two halves on the broadcast ``vgs``/``vds``
+    pair: :func:`gate_terms` (overdrive, ``I_leak * exp(sub_exponent)``,
+    ``V_dsat`` and ``K * overdrive ** alpha``), then
+    :func:`current_from_gate_terms` (drain saturation factor, channel-length
+    modulation, triode blending).  A caller whose gate voltage is fixed calls
+    the two halves itself and evaluates the gate terms once.
     """
     vgs = np.asarray(vgs, dtype=float)
     vds = np.asarray(vds, dtype=float)
     vgs, vds = np.broadcast_arrays(vgs, vds)
-
-    vds_clipped = np.maximum(vds, 0.0)
-    overdrive = vgs - params.threshold_voltage
-
-    # --- sub-threshold component -------------------------------------
-    n_factor = params.subthreshold_swing / (np.log(10.0) * params.thermal_voltage)
-    sub_exponent = np.clip(
-        np.minimum(overdrive, 0.0) / (n_factor * params.thermal_voltage), -80.0, 0.0
-    )
-    i_sub = (
-        params.leak_current
-        * np.exp(sub_exponent)
-        * (1.0 - np.exp(-vds_clipped / params.thermal_voltage))
-    )
-
-    # --- strong-inversion component ----------------------------------
-    overdrive_pos = np.maximum(overdrive, 0.0)
-    vdsat = saturation_voltage(overdrive_pos, params.alpha)
-    i_sat = (
-        params.gain
-        * overdrive_pos**params.alpha
-        * (1.0 + params.channel_length_modulation * vds_clipped)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(vdsat > 0.0, np.minimum(vds_clipped / np.maximum(vdsat, 1e-12), 1.0), 0.0)
-    i_triode = i_sat * (2.0 - ratio) * ratio
-    i_strong = np.where(vds_clipped >= vdsat, i_sat, i_triode)
-
-    current = np.where(overdrive > 0.0, i_strong + i_sub, i_sub)
-    return np.maximum(current, 0.0)
+    return current_from_gate_terms(params, gate_terms(params, vgs), vds)
 
 
 def access_device(technology: TechnologyCard, **mismatch: float) -> NmosDevice:

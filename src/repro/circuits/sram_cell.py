@@ -27,7 +27,9 @@ from repro.circuits.mismatch import MismatchSample
 from repro.circuits.mosfet import (
     MosfetParameters,
     NmosDevice,
+    current_from_gate_terms,
     drain_current_from_parameters,
+    gate_terms,
 )
 from repro.circuits.technology import TechnologyCard
 
@@ -78,6 +80,12 @@ class DischargeStack:
 
         ``I_access`` decreases monotonically with ``v_x`` while
         ``I_pulldown`` increases, so the bisection always converges.
+
+        The pull-down's gate is tied to VDD, so its gate-only terms
+        (:func:`~repro.circuits.mosfet.gate_terms`) are evaluated once
+        before the bisection; each step only finishes its drain terms.  The
+        result is bit-identical to evaluating the full I-V equation per
+        step.
         """
         v_bl = np.asarray(v_bl, dtype=float)
         v_wl = np.asarray(v_wl, dtype=float)
@@ -85,12 +93,17 @@ class DischargeStack:
 
         low = np.zeros_like(v_bl)
         high = np.maximum(v_bl, 0.0)
+        # Shape (1,) * ndim, not a bare scalar: NumPy computes ``**`` on a
+        # float64 scalar with a different routine than on arrays, and the
+        # per-step equation saw VDD broadcast to v_x's shape, so the gate
+        # terms must be arrays whenever v_x is.
+        pulldown_gate = gate_terms(self.pulldown, np.full((1,) * v_bl.ndim, self.vdd))
 
         def balance(v_x: np.ndarray) -> np.ndarray:
             i_access = drain_current_from_parameters(
                 self.access, v_wl - v_x, v_bl - v_x
             )
-            i_pulldown = drain_current_from_parameters(self.pulldown, self.vdd, v_x)
+            i_pulldown = current_from_gate_terms(self.pulldown, pulldown_gate, v_x)
             return i_access - i_pulldown
 
         # 24 bisection steps resolve v_x to ~60 nV over a 1 V range, far

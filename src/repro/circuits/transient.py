@@ -13,9 +13,14 @@ dependence) shows up in the produced waveforms.
 Because the word-line voltage is constant during one discharge window, the
 node equation is autonomous in the bit-line voltage.  The solver therefore
 tabulates the stack current over a dense bit-line-voltage grid once per run
-(one vectorised series-stack solve) and interpolates that table inside the
-RK4 loop.  This keeps the reference simulator accurate while making the
-thousand-sample Monte-Carlo sweeps of the characterisation flow practical.
+(one vectorised series-stack solve, with the pull-down's gate terms
+evaluated once outside the bisection) and interpolates that table inside
+the RK4 loop.  The table is kept flat, row after row, next to its per-cell
+slope ``table[k + 1] - table[k]``, so each RK4 stage interpolates every
+trace with one flat gather from each array.  Reading a waveform at a
+sampling instant locates the time-grid cell once for all traces.  This
+keeps the reference simulator accurate while making the thousand-sample
+Monte-Carlo sweeps of the characterisation flow practical.
 It is still orders of magnitude slower than evaluating the fitted OPTIMA
 polynomials, which is exactly the comparison behind the paper's speed-up
 claim (see :mod:`repro.core.speedup`).
@@ -34,7 +39,7 @@ from repro.circuits.mismatch import MismatchArrays, MismatchSample
 from repro.circuits.mosfet import NmosDevice
 from repro.circuits.sram_cell import CellState, DischargeStack, SramCell
 from repro.circuits.technology import TechnologyCard
-from repro.circuits.waveform import Waveform
+from repro.circuits.waveform import Waveform, interpolate_rows
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -68,17 +73,22 @@ class DischargeResult:
         return self.voltages[..., -1]
 
     def voltage_at(self, time: float) -> np.ndarray:
-        """Linearly interpolated bit-line voltage at ``time`` seconds."""
+        """Linearly interpolated bit-line voltage at ``time`` seconds.
+
+        All traces share the time grid, so the grid cell is located once
+        and every trace is interpolated in one vectorised step
+        (:func:`~repro.circuits.waveform.interpolate_rows`, bit-identical
+        to ``np.interp`` per trace).
+        """
         if time < self.times[0] or time > self.times[-1]:
             raise ValueError(
                 f"time {time:.3e} s outside simulated span "
                 f"[{self.times[0]:.3e}, {self.times[-1]:.3e}] s"
             )
-        flat = self.voltages.reshape(-1, self.times.shape[0])
-        sampled = np.array([np.interp(time, self.times, row) for row in flat])
+        sampled = interpolate_rows(self.times, self.voltages, time)
         if self.voltages.ndim == 1:
-            return sampled[0]
-        return sampled.reshape(self.voltages.shape[:-1])
+            return sampled[()]
+        return sampled
 
     def delta_at(self, time: float) -> np.ndarray:
         """Discharge ``VDD - V_BLB(time)``."""
@@ -215,28 +225,49 @@ class TransientSolver:
         return v_grid, np.maximum(table, 0.0)
 
     @staticmethod
+    def _flatten_table(table: np.ndarray) -> tuple:
+        """Lay the current table out for :meth:`_interpolate_current`.
+
+        Returns ``(lower, slope, row_base, last_position)``: the table
+        flattened row by row, its per-cell slope ``table[k + 1] - table[k]``
+        in the same layout (the unused last column is zero), the flat offset
+        of each trace's row (shape ``table.shape[:-1]``) and the largest
+        position the interpolation may use.
+        """
+        grid = table.shape[-1]
+        slope = np.zeros_like(table)
+        slope[..., :-1] = table[..., 1:] - table[..., :-1]
+        row_base = np.arange(0, table.size, grid).reshape(table.shape[:-1])
+        return table.reshape(-1), slope.reshape(-1), row_base, grid - 1.000001
+
+    @staticmethod
     def _interpolate_current(
         voltage: np.ndarray,
         start_voltage: float,
         grid_step: float,
-        table: np.ndarray,
+        lower: np.ndarray,
+        slope: np.ndarray,
+        row_base: np.ndarray,
+        last_position: float,
     ) -> np.ndarray:
         """Linearly interpolate the tabulated current at ``voltage``.
 
-        The grid is uniform and descending, so the cell index is a direct
-        computation rather than a search; this is the hot path of the RK4
-        loop and stays fully vectorised across traces.
+        ``lower``, ``slope``, ``row_base`` and ``last_position`` come from
+        :meth:`_flatten_table`.  The grid is uniform and descending, so the
+        cell index is a direct computation rather than a search, and one
+        flat gather from ``lower`` and one from ``slope`` replace a per-row
+        lookup of both cell ends.  This is the hot path of the RK4 loop and
+        stays fully vectorised across traces.  Clipping the position to
+        ``last_position`` (just below the last grid point) keeps
+        ``index + 1`` inside the row, so the slope's unused last column is
+        never read.
         """
-        grid_points = table.shape[-1]
-        position = (start_voltage - voltage) / grid_step
-        position = np.clip(position, 0.0, grid_points - 1.000001)
+        position = np.minimum(
+            np.maximum((start_voltage - voltage) / grid_step, 0.0), last_position
+        )
         index = position.astype(int)
-        fraction = position - index
-        lower = np.take_along_axis(table, index[..., np.newaxis], axis=-1)[..., 0]
-        upper = np.take_along_axis(
-            table, np.minimum(index + 1, grid_points - 1)[..., np.newaxis], axis=-1
-        )[..., 0]
-        return lower + fraction * (upper - lower)
+        cell = row_base + index
+        return lower[cell] + (position - index) * slope[cell]
 
     # ------------------------------------------------------------------
     # Main entry point
@@ -297,13 +328,14 @@ class TransientSolver:
         )
         grid_step = float(v_grid[0] - v_grid[1])
         capacitance = self.bitline.capacitance
+        flat_table = self._flatten_table(table)
 
         voltage = np.full(shape, start_voltage)
         traces = np.empty(shape + (steps + 1,), dtype=float)
         traces[..., 0] = voltage
 
         def derivative(v: np.ndarray) -> np.ndarray:
-            current = self._interpolate_current(v, start_voltage, grid_step, table)
+            current = self._interpolate_current(v, start_voltage, grid_step, *flat_table)
             return -current / capacitance
 
         for step in range(1, steps + 1):

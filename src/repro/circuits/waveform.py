@@ -14,6 +14,39 @@ from typing import Optional, Sequence
 import numpy as np
 
 
+def interpolate_rows(times: np.ndarray, values: np.ndarray, time: float) -> np.ndarray:
+    """``np.interp(time, times, row)`` for every row of ``values`` in one step.
+
+    ``times`` is a strictly increasing 1-D grid shared by all rows and
+    ``values`` has shape ``(..., len(times))``; the result has shape
+    ``values.shape[:-1]``.  The grid cell is found once with
+    ``searchsorted``, and each row is evaluated with ``np.interp``'s own
+    formula and special cases (a NaN time, times outside the grid, the last
+    grid point, exact grid points, and the retry from the right-hand point
+    when the first evaluation gives NaN), so the result equals the row-wise
+    ``np.interp`` bit for bit.
+    """
+    time = float(time)
+    if np.isnan(time):
+        return np.full(values.shape[:-1], time)
+    if time < times[0]:
+        return values[..., 0].copy()
+    j = int(np.searchsorted(times, time, side="right")) - 1
+    if j == times.shape[0] - 1 or times[j] == time:
+        return values[..., j].copy()
+    x0, x1 = times[j], times[j + 1]
+    y0, y1 = values[..., j], values[..., j + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = (y1 - y0) / (x1 - x0)
+        result = np.asarray(slope * (time - x0) + y0)
+        missing = np.isnan(result)
+        if missing.any():
+            retry = slope * (time - x1) + y1
+            retry = np.where(np.isnan(retry) & (y0 == y1), y0, retry)
+            result = np.where(missing, retry, result)
+    return result
+
+
 @dataclasses.dataclass
 class Waveform:
     """A sampled single-signal waveform.
@@ -82,10 +115,9 @@ class Waveform:
                 f"time {time:.3e} s outside waveform span "
                 f"[{self.times[0]:.3e}, {self.times[-1]:.3e}] s"
             )
-        flat = np.atleast_2d(self.values)
-        interpolated = np.array([np.interp(time, self.times, row) for row in flat])
+        interpolated = interpolate_rows(self.times, self.values, time)
         if self.values.ndim == 1:
-            return float(interpolated[0])
+            return float(interpolated)
         return float(interpolated.mean())
 
     def delta_at(self, time: float) -> float:

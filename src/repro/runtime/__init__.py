@@ -211,7 +211,10 @@ class SweepEngine:
 
         Cacheable jobs are resolved against the artifact cache first; only
         the misses are handed to the executor, and their results are stored
-        back so the next run of the same sweep is near-instant.
+        back so the next run of the same sweep is near-instant.  A store
+        that fails with ``OSError`` (disk full, read-only cache) is skipped
+        and counted as a ``write_error`` cache event; the results are
+        still returned.
 
         ``cancel_event`` (or the engine-level :attr:`cancel_event` default)
         enables cooperative cancellation: once set, the run raises
@@ -297,7 +300,14 @@ class SweepEngine:
             for (index, job), value in zip(pending, executed):
                 results[index] = value
                 if self.cache is not None and job.cacheable:
-                    self.cache.put(job.key, job.encode(value))
+                    artifact = job.encode(value)
+                    try:
+                        self.cache.put(job.key, artifact)
+                    except OSError:
+                        # A full or read-only cache disk costs the next run
+                        # a recompute, not this run its results; the cache
+                        # counts the failure as a ``write_error`` event.
+                        pass
         elapsed = time.monotonic() - started
         _RUN_SECONDS.observe(elapsed)
         obs.EVENTS.emit(

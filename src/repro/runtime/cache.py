@@ -54,7 +54,7 @@ _META_KEY = "__meta__"
 # and the Prometheus endpoint all read the same accounting.
 _CACHE_EVENTS = obs.counter(
     "repro_cache_events_total",
-    "Artifact-cache accounting events (hit/miss/write/corrupt/evict).",
+    "Artifact-cache accounting events (hit/miss/write/write_error/corrupt/evict).",
     labels=("event",),
 )
 _CACHE_SIZE = obs.gauge(
@@ -106,6 +106,25 @@ class CacheStats:
             f"{self.corrupt_dropped} corrupt artifacts dropped, "
             f"{self.evictions} evicted"
         )
+
+
+def _write_atomically(path: pathlib.Path, payload: Dict[str, np.ndarray]) -> None:
+    """Write ``payload`` as ``.npz`` to a tmp file, then rename it to ``path``.
+
+    A failed write removes its tmp file before re-raising.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez(handle, **payload)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 class ArtifactCache:
@@ -225,23 +244,18 @@ class ArtifactCache:
 
         With ``max_bytes`` configured, a write that pushes the cache over
         the limit triggers LRU eviction; the artifact just written is
-        always protected from it.
+        always protected from it.  A write that fails with ``OSError``
+        (disk full, read-only directory) leaves no tmp file behind, is
+        counted as a ``write_error`` event and re-raises.
         """
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         meta_bytes = json.dumps(artifact.meta, sort_keys=True).encode("utf-8")
         payload = dict(artifact.arrays)
         payload[_META_KEY] = np.frombuffer(meta_bytes, dtype=np.uint8)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
         try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, **payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
+            _write_atomically(path, payload)
+        except OSError:
+            _CACHE_EVENTS.inc(event="write_error")
             raise
         over_limit = False
         try:

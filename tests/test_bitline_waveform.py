@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.bitline import BitLine
 from repro.circuits.technology import tsmc65_like
-from repro.circuits.waveform import Waveform
+from repro.circuits.waveform import Waveform, interpolate_rows
 
 
 class TestBitLine:
@@ -96,3 +98,56 @@ class TestWaveform:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             Waveform(times=np.array([0.0, 1.0]), values=np.zeros(3))
+
+
+@st.composite
+def _rows_and_time(draw):
+    """A strictly increasing grid, 1-3 rows of values on it (non-finite
+    values included, to reach ``np.interp``'s NaN fallback) and a query
+    time: a grid point, an end point, inside a cell, outside or NaN."""
+    points = draw(st.integers(2, 12))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=points - 1, max_size=points - 1))
+    times = np.concatenate([[draw(st.floats(-5.0, 5.0))], np.array(steps)]).cumsum()
+    rows = draw(st.integers(1, 3))
+    value = st.one_of(
+        st.floats(-1e3, 1e3), st.sampled_from([np.inf, -np.inf, np.nan, 1e308, -1e308])
+    )
+    values = np.array(draw(st.lists(value, min_size=rows * points, max_size=rows * points)))
+    values = values.reshape(rows, points)
+    if draw(st.booleans()):
+        values = values[0]
+    time = draw(
+        st.one_of(
+            st.sampled_from([times[0], times[-1], np.nan, times[0] - 1.0, times[-1] + 1.0]),
+            st.sampled_from(list(times)),
+            st.floats(float(times[0]), float(times[-1])),
+        )
+    )
+    return times, values, float(time)
+
+
+class TestInterpolateRows:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_rows_and_time())
+    def test_equals_rowwise_np_interp_bit_for_bit(self, case):
+        times, values, time = case
+        expected = np.array(
+            [np.interp(time, times, row) for row in np.atleast_2d(values)]
+        ).reshape(values.shape[:-1])
+        result = interpolate_rows(times, values, time)
+        assert result.shape == expected.shape
+        assert result.tobytes() == expected.tobytes()
+
+    def test_nan_fallback_from_the_right_hand_point(self):
+        times = np.array([0.0, 1.0, 2.0])
+        values = np.array([[np.inf, np.inf, 0.0], [1.0, np.inf, 3.0], [-np.inf, 5.0, 6.0]])
+        for time in (0.5, 1.5):
+            expected = [np.interp(time, times, row) for row in values]
+            assert interpolate_rows(times, values, time).tobytes() == np.array(expected).tobytes()
+
+    def test_waveform_value_at_uses_rowwise_values(self):
+        times = np.linspace(0.0, 1e-9, 11)
+        values = np.stack([1.0 - times / 1e-9 * 0.5, 1.0 - times / 1e-9 * 0.25])
+        wave = Waveform(times=times, values=values)
+        expected = np.mean([np.interp(0.37e-9, times, row) for row in values])
+        assert wave.value_at(0.37e-9) == float(expected)

@@ -313,6 +313,12 @@ class TestDocsTree:
             assert f"`{event_type}`" in text, f"event type {event_type} undocumented"
         # the naming rule in the doc is the one the registry enforces
         assert obs.METRIC_NAME_RE.pattern.strip("^$") in text
+        # every `event` label value the artifact cache counts
+        cache_row = next(
+            line for line in text.splitlines() if line.startswith("| `repro_cache_events_total`")
+        )
+        documented = cache_row.split("∈")[1].split(".")[0].replace(" ", "").split("/")
+        assert documented == ["hit", "miss", "write", "write_error", "corrupt", "evict"]
         # the watch frame schema: seq / ts / type / trace
         for field in ("`seq`", "`ts`", "`type`", "`trace`"):
             assert field in text, f"watch frame field {field} undocumented"

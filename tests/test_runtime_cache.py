@@ -288,6 +288,39 @@ class TestStrayTmpFiles:
         assert list(cache.root.glob("*/*.npz.tmp")) == []
 
 
+class TestCacheWriteFailure:
+    def test_full_disk_degrades_to_uncached_results(self, tmp_path, monkeypatch):
+        """A cache write that fails with ENOSPC costs the cache its artifact,
+        never the sweep its results."""
+        import errno
+
+        import repro.runtime.cache as cache_module
+        from repro import obs
+        from repro.analysis.pvt_sweeps import mismatch_monte_carlo_sharded
+
+        technology = tsmc65_like()
+        panel = dict(samples=24, seed=11, shards=4)
+        uncached = mismatch_monte_carlo_sharded(technology, engine=SweepEngine(), **panel)
+
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cache_module.np, "savez", disk_full)
+        events = obs.REGISTRY.counter("repro_cache_events_total", labels=("event",))
+        errors_before = events.value(event="write_error")
+        cache = ArtifactCache(tmp_path / "cache")
+        cached = mismatch_monte_carlo_sharded(
+            technology, engine=SweepEngine(cache=cache), **panel
+        )
+
+        assert set(cached) == set(uncached)
+        for name, value in uncached.items():
+            assert cached[name].tobytes() == value.tobytes(), name
+        assert events.value(event="write_error") == errors_before + 4
+        assert list(cache.root.glob("*/*.npz.tmp")) == []
+        assert len(cache) == 0
+
+
 class TestLruEviction:
     def _put(self, cache, tag, index, age_seconds):
         key = job_key(tag, index)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.conditions import OperatingConditions
-from repro.circuits.mismatch import MismatchParameters, MismatchSampler
+from repro.circuits.mismatch import MismatchArrays, MismatchParameters, MismatchSampler
 from repro.circuits.technology import ProcessCorner, tsmc65_like
 from repro.circuits.transient import TransientSolver
 
@@ -136,3 +138,238 @@ class TestResultContainer:
         above = solver.saturation_time(1.0, nominal_conditions, horizon=6e-9)
         assert below is None
         assert above is not None and above > 0.0
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: the solver before its fast path, kept test-only
+# ----------------------------------------------------------------------
+def _oracle_drain_current(params, vgs, vds):
+    """The alpha-power-law I-V equation in one piece (no gate-term split)."""
+    vgs = np.asarray(vgs, dtype=float)
+    vds = np.asarray(vds, dtype=float)
+    vgs, vds = np.broadcast_arrays(vgs, vds)
+
+    vds_clipped = np.maximum(vds, 0.0)
+    overdrive = vgs - params.threshold_voltage
+
+    n_factor = params.subthreshold_swing / (np.log(10.0) * params.thermal_voltage)
+    sub_exponent = np.clip(
+        np.minimum(overdrive, 0.0) / (n_factor * params.thermal_voltage), -80.0, 0.0
+    )
+    i_sub = (
+        params.leak_current
+        * np.exp(sub_exponent)
+        * (1.0 - np.exp(-vds_clipped / params.thermal_voltage))
+    )
+
+    overdrive_pos = np.maximum(overdrive, 0.0)
+    vdsat = np.maximum(np.asarray(overdrive_pos, dtype=float), 0.0) ** (params.alpha / 2.0)
+    i_sat = (
+        params.gain
+        * overdrive_pos**params.alpha
+        * (1.0 + params.channel_length_modulation * vds_clipped)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(vdsat > 0.0, np.minimum(vds_clipped / np.maximum(vdsat, 1e-12), 1.0), 0.0)
+    i_triode = i_sat * (2.0 - ratio) * ratio
+    i_strong = np.where(vds_clipped >= vdsat, i_sat, i_triode)
+
+    current = np.where(overdrive > 0.0, i_strong + i_sub, i_sub)
+    return np.maximum(current, 0.0)
+
+
+def _oracle_stack_current(stack, v_bl, v_wl):
+    """Series-stack bisection re-evaluating both devices in full every step."""
+    v_bl, v_wl = np.broadcast_arrays(np.asarray(v_bl, dtype=float), np.asarray(v_wl, dtype=float))
+    low = np.zeros_like(v_bl)
+    high = np.maximum(v_bl, 0.0)
+    for _ in range(24):
+        mid = 0.5 * (low + high)
+        balance = _oracle_drain_current(
+            stack.access, v_wl - mid, v_bl - mid
+        ) - _oracle_drain_current(stack.pulldown, stack.vdd, mid)
+        positive = balance > 0.0
+        low = np.where(positive, mid, low)
+        high = np.where(positive, high, mid)
+    v_x = 0.5 * (low + high)
+    return _oracle_drain_current(stack.access, v_wl - v_x, v_bl - v_x)
+
+
+def _oracle_interpolate_current(voltage, start_voltage, grid_step, table):
+    """Per-row table lookup with two ``take_along_axis`` gathers."""
+    grid_points = table.shape[-1]
+    position = (start_voltage - voltage) / grid_step
+    position = np.clip(position, 0.0, grid_points - 1.000001)
+    index = position.astype(int)
+    fraction = position - index
+    lower = np.take_along_axis(table, index[..., np.newaxis], axis=-1)[..., 0]
+    upper = np.take_along_axis(
+        table, np.minimum(index + 1, grid_points - 1)[..., np.newaxis], axis=-1
+    )[..., 0]
+    return lower + fraction * (upper - lower)
+
+
+def _oracle_current_table(solver, conditions, mismatch, v_wl, stored_bit, start_voltage, shape):
+    """The (..., grid) current table: (grid_step, table)."""
+    stack = solver._expand_stack_for_grid(solver._build_stack(conditions, mismatch))
+    grid = solver.voltage_grid_points
+    v_grid = np.linspace(start_voltage, 0.0, grid)
+    if stored_bit == 0:
+        table = _oracle_drain_current(stack.access, 0.0, np.maximum(v_grid - stack.vdd, 0.0))
+        table = np.broadcast_to(table, shape + (grid,)).copy()
+    else:
+        table = _oracle_stack_current(
+            stack,
+            np.broadcast_to(v_grid, shape + (grid,)),
+            np.broadcast_to(v_wl, shape)[..., np.newaxis],
+        )
+    return float(v_grid[0] - v_grid[1]), np.maximum(table, 0.0)
+
+
+def _oracle_simulate(solver, wordline_voltage, duration, conditions, stored_bit, mismatch, initial_voltage):
+    """``simulate_discharge`` as it was before the fast path: (times, voltages)."""
+    v_wl = np.asarray(wordline_voltage, dtype=float)
+    sample_shape = (len(mismatch),) if isinstance(mismatch, MismatchArrays) else ()
+    shape = np.broadcast_shapes(v_wl.shape, sample_shape)
+    steps = max(int(np.ceil(duration / solver.time_step)), 2)
+    times = np.linspace(0.0, duration, steps + 1)
+    dt = times[1] - times[0]
+    start_voltage = conditions.vdd if initial_voltage is None else float(initial_voltage)
+    grid_step, table = _oracle_current_table(
+        solver, conditions, mismatch, v_wl, stored_bit, start_voltage, shape
+    )
+    capacitance = solver.bitline.capacitance
+
+    def derivative(v):
+        return -_oracle_interpolate_current(v, start_voltage, grid_step, table) / capacitance
+
+    voltage = np.full(shape, start_voltage)
+    traces = np.empty(shape + (steps + 1,), dtype=float)
+    traces[..., 0] = voltage
+    for step in range(1, steps + 1):
+        k1 = derivative(voltage)
+        k2 = derivative(np.maximum(voltage + 0.5 * dt * k1, 0.0))
+        k3 = derivative(np.maximum(voltage + 0.5 * dt * k2, 0.0))
+        k4 = derivative(np.maximum(voltage + dt * k3, 0.0))
+        voltage = voltage + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        voltage = np.maximum(voltage, 0.0)
+        traces[..., step] = voltage
+    return times, traces if shape else traces.reshape(steps + 1)
+
+
+def _oracle_voltage_at(times, voltages, time):
+    """Per-row ``np.interp`` over the flattened traces."""
+    flat = voltages.reshape(-1, times.shape[0])
+    sampled = np.array([np.interp(time, times, row) for row in flat])
+    if voltages.ndim == 1:
+        return sampled[0]
+    return sampled.reshape(voltages.shape[:-1])
+
+
+_MISMATCH_PARAMETERS = MismatchParameters.from_technology(tsmc65_like())
+
+
+class TestAgainstOracle:
+    """The fast path (hoisted gate terms, flat gather, one-step voltage
+    readout) is byte-identical to the straightforward solver it replaced."""
+
+    @pytest.mark.parametrize("stored_bit", [0, 1])
+    @pytest.mark.parametrize("samples", [None, "single", 0, 1, 63, 200])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        corner=st.sampled_from(list(ProcessCorner)),
+        vdd=st.floats(0.8, 1.2),
+        temperature_celsius=st.floats(-20.0, 100.0),
+        wordline=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=3),
+        as_array=st.booleans(),
+        initial_voltage=st.one_of(st.none(), st.floats(0.4, 1.3)),
+        duration=st.floats(0.05e-9, 0.8e-9),
+        read_at=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    )
+    def test_simulate_discharge_matches_oracle(
+        self, solver, nominal_conditions, samples, stored_bit, corner, vdd,
+        temperature_celsius, wordline, as_array, initial_voltage, duration, read_at,
+    ):
+        sampler = MismatchSampler(_MISMATCH_PARAMETERS, seed=17)
+        if samples is None:
+            mismatch = None
+        elif samples == "single":
+            mismatch = sampler.sample()
+        else:
+            mismatch = sampler.sample_arrays(samples)
+        if not as_array:
+            v_wl = wordline[0]
+        elif isinstance(mismatch, MismatchArrays):
+            # the (n_wl, 1) x samples broadcast of the characterisation flow
+            v_wl = np.asarray(wordline)[:, np.newaxis]
+        else:
+            v_wl = np.asarray(wordline)
+        conditions = (
+            nominal_conditions.with_corner(corner)
+            .with_vdd(vdd)
+            .with_temperature_celsius(temperature_celsius)
+        )
+
+        result = solver.simulate_discharge(
+            v_wl, duration, conditions, stored_bit=stored_bit,
+            mismatch=mismatch, initial_voltage=initial_voltage,
+        )
+        times, voltages = _oracle_simulate(
+            solver, v_wl, duration, conditions, stored_bit, mismatch, initial_voltage
+        )
+
+        assert result.times.tobytes() == times.tobytes()
+        assert result.voltages.shape == voltages.shape
+        assert result.voltages.tobytes() == voltages.tobytes()
+        grid_points = [times[0], times[-1], times[len(times) // 3]]
+        for time in grid_points + [fraction * duration for fraction in read_at]:
+            fast = np.asarray(result.voltage_at(float(time)))
+            slow = np.asarray(_oracle_voltage_at(times, voltages, float(time)))
+            assert fast.shape == slow.shape
+            assert fast.tobytes() == slow.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        samples=st.sampled_from([None, 1, 63]),
+        stored_bit=st.sampled_from([0, 1]),
+        corner=st.sampled_from(list(ProcessCorner)),
+        vdd=st.floats(0.8, 1.2),
+        wordline=st.floats(0.0, 1.2),
+        start_voltage=st.floats(0.4, 1.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_current_table_and_stage_interpolation_match_oracle(
+        self, solver, nominal_conditions, samples, stored_bit, corner, vdd,
+        wordline, start_voltage, seed,
+    ):
+        """One RK4 stage at full strength: the table and the interpolated
+        current, before the integration absorbs sub-ulp differences."""
+        conditions = nominal_conditions.with_corner(corner).with_vdd(vdd)
+        mismatch = None
+        shape = ()
+        if samples is not None:
+            mismatch = MismatchSampler(_MISMATCH_PARAMETERS, seed=seed).sample_arrays(samples)
+            shape = (samples,)
+        v_wl = np.asarray(wordline)
+        stack = solver._build_stack(conditions, mismatch)
+        v_grid, table = solver._current_table(stack, v_wl, stored_bit, start_voltage, shape)
+        grid_step, oracle_table = _oracle_current_table(
+            solver, conditions, mismatch, v_wl, stored_bit, start_voltage, shape
+        )
+        assert float(v_grid[0] - v_grid[1]) == grid_step
+        assert table.tobytes() == oracle_table.tobytes()
+
+        # voltages across the whole grid, both clip bounds and exact nodes
+        rng = np.random.default_rng(seed)
+        voltage = start_voltage * rng.uniform(-0.05, 1.05, size=shape + (32,))
+        voltage[..., :3] = (start_voltage, 0.0, v_grid[7])
+        voltage = np.moveaxis(voltage, -1, 0)
+        fast = np.stack([
+            solver._interpolate_current(v, start_voltage, grid_step, *solver._flatten_table(table))
+            for v in voltage
+        ])
+        slow = np.stack([
+            _oracle_interpolate_current(v, start_voltage, grid_step, oracle_table)
+            for v in voltage
+        ])
+        assert fast.tobytes() == slow.tobytes()
