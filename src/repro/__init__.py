@@ -29,7 +29,9 @@ The package is organised in layers, bottom-up:
   sweep requests from many concurrent clients over newline-delimited
   JSON, single-flights identical in-flight requests, streams per-job
   progress events, and shares one size-bounded (LRU-evicting) artifact
-  cache across all of them.
+  cache across all of them.  Its workload registry
+  (:mod:`repro.service.workloads`) defines every paper experiment once;
+  ``python -m repro run`` is a view over it.
 * :mod:`repro.cluster` — the distributed worker backend behind the engine
   (``python -m repro worker`` / ``make_executor("distributed")``): a
   coordinator that shards content-hashed job chunks across long-lived

@@ -265,15 +265,21 @@ class ExplorationResult:
 
     def describe(self) -> str:
         """Human-readable summary of the selected corners."""
-        lines = [f"design-space exploration: {len(self.points)} corners evaluated"]
-        for corner in self.selected_corners():
-            row = corner.table_row()
-            lines.append(
-                f"  {row['corner']:<10} tau0={row['tau0_ns']:.2f} ns "
-                f"V0={row['v_dac_zero']:.2f} V FS={row['v_dac_full_scale']:.2f} V "
-                f"eps={row['eps_mul_lsb']:.2f} LSB E={row['energy_fj']:.1f} fJ"
-            )
-        return "\n".join(lines)
+        return format_exploration_summary(
+            len(self.points), [corner.table_row() for corner in self.selected_corners()]
+        )
+
+
+def format_exploration_summary(corner_count: int, rows: Sequence[Dict[str, object]]) -> str:
+    """Summary of an exploration from its corner count and Table I rows."""
+    lines = [f"design-space exploration: {corner_count} corners evaluated"]
+    for row in rows:
+        lines.append(
+            f"  {row['corner']:<10} tau0={row['tau0_ns']:.2f} ns "
+            f"V0={row['v_dac_zero']:.2f} V FS={row['v_dac_full_scale']:.2f} V "
+            f"eps={row['eps_mul_lsb']:.2f} LSB E={row['energy_fj']:.1f} fJ"
+        )
+    return "\n".join(lines)
 
 
 def _evaluate_corner(

@@ -14,10 +14,12 @@ evaluations) submits its work to one front door, the :class:`SweepEngine`:
 * results of cache-enabled jobs are persisted as content-addressed ``.npz``
   artifacts (:mod:`repro.runtime.cache`); ``ArtifactCache(max_bytes=...)``
   additionally LRU-evicts cold artifacts so the cache stays size-bounded,
-* the unified CLI (``python -m repro run dse|pvt|characterize|tables``)
-  routes every paper figure / table through the engine
-  (:mod:`repro.runtime.cli`), and ``python -m repro serve`` exposes the
-  same engine to many concurrent network clients (:mod:`repro.service`).
+* the paper experiments are defined once, as the workloads of
+  :mod:`repro.service.workloads`; the unified CLI (``python -m repro run
+  dse|pvt|characterize|tables|...``, :mod:`repro.runtime.cli`) runs one
+  of them on a local engine, and ``python -m repro serve`` exposes the
+  same registry and engine to many concurrent network clients
+  (:mod:`repro.service`).
 
 Typical use::
 
@@ -81,7 +83,6 @@ __all__ = [
     "SweepSpec",
     "code_version",
     "default_cache_dir",
-    "default_engine",
     "fingerprint",
     "job_key",
     "make_executor",
@@ -352,26 +353,3 @@ class SweepEngine:
         cache_part = self.cache.describe() if self.cache is not None else "no cache"
         return f"SweepEngine[{executor_name}] — {self.stats.describe()} — {cache_part}"
 
-
-def default_engine(
-    executor: Optional[str] = None,
-    cache_dir: Optional[Any] = None,
-    use_cache: bool = False,
-    **executor_kwargs: Any,
-) -> SweepEngine:
-    """Build an engine from CLI-style options.
-
-    ``executor=None`` (the default) builds an **auto** engine: sweeps
-    carrying a ``batch_fn`` run through the vectorised batch strategy,
-    everything else serially.  Passing a registry name pins the strategy.
-    ``use_cache=True`` attaches an :class:`ArtifactCache` rooted at
-    ``cache_dir`` (or the :func:`default_cache_dir`).
-    """
-    cache = ArtifactCache(cache_dir) if use_cache else None
-    if executor is None:
-        if executor_kwargs:
-            raise ValueError(
-                f"executor options {sorted(executor_kwargs)} need an explicit executor"
-            )
-        return SweepEngine(cache=cache)
-    return SweepEngine(make_executor(executor, **executor_kwargs), cache=cache)

@@ -7,6 +7,7 @@ runs through the :class:`repro.runtime.SweepEngine`::
     python -m repro run pvt          # Fig. 5 sweeps + Fig. 8 robustness
     python -m repro run characterize # reference characterisation sweeps
     python -m repro run tables       # DNN accuracy tables (Table II protocol)
+    python -m repro run montecarlo   # Fig. 5d Monte-Carlo spread, as JSON
     python -m repro serve            # long-lived sweep service (repro.service)
     python -m repro gateway          # HTTP/SSE front door over a service (repro.gateway)
     python -m repro worker           # long-lived cluster worker (repro.cluster)
@@ -17,9 +18,16 @@ runs through the :class:`repro.runtime.SweepEngine`::
     python -m repro cache evict --max-bytes 500M   # LRU-trim the cache
     python -m repro lint             # project-aware static analysis (docs/lint.md)
 
+``run`` is a view over the service workload registry
+(:mod:`repro.service.workloads`): ``run X`` calls workload ``X`` with
+``{"fast": ...}`` on the engine the options below describe and prints a
+text rendering of its payload — indented JSON for the workloads without
+one (``montecarlo``, ``eventsim``, ``dnn``).  Its choices are exactly the
+registered workload names.
+
 Running sweeps at scale
 -----------------------
-The engine options apply to every ``run`` subcommand:
+The engine options apply to every ``run`` workload:
 
 * Without ``--executor`` the engine runs in **auto** mode: sweeps that
   register a vectorised ``batch_fn`` (PVT Monte-Carlo, characterisation,
@@ -52,8 +60,10 @@ The engine options apply to every ``run`` subcommand:
   plan, technology card, operating conditions and code version, so a warm
   re-run of a characterisation never touches the reference solver and a
   repeated exploration is served from disk in milliseconds.
-* ``--fast`` switches every workload to its reduced test-scale preset;
-  ``--json PATH`` additionally writes the regenerated rows as JSON.
+* ``--fast`` switches the paper workloads (dse, pvt, characterize,
+  tables, eventsim) to their reduced test-scale presets;
+  ``--json PATH`` additionally writes the workload's payload — the same
+  document a service client receives — as JSON.
 * ``--max-bytes N`` (accepts ``K``/``M``/``G`` suffixes) bounds the cache:
   least-recently-used artifacts are evicted whenever a write pushes the
   cache over the limit.  ``python -m repro cache evict --max-bytes N``
@@ -106,6 +116,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.runtime import ArtifactCache, SweepEngine, default_cache_dir, make_executor
 from repro.sched import JOB_CLASSES, SchedPolicy
+from repro.service.workloads import get_workload, workload_names
 
 _SCALE_EPILOG = """\
 running sweeps at scale:
@@ -370,231 +381,82 @@ def _finish(engine: SweepEngine, elapsed: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# run subcommands
+# run subcommand: a view over the service workload registry
 # ----------------------------------------------------------------------
-def _cmd_run_dse(args: argparse.Namespace) -> int:
-    from repro.analysis.design_space import (
-        corner_summary_rows,
-        format_table1,
-        run_design_space_exploration,
+def _format_dse(payload: Dict[str, Any]) -> str:
+    from repro.analysis.design_space import format_table1
+    from repro.core.dse import format_exploration_summary
+
+    return "\n".join(
+        [
+            format_exploration_summary(payload["corner_count"], payload["selected"]),
+            "",
+            "Table I reproduction (measured vs paper):",
+            format_table1(payload["selected"]),
+        ]
     )
-    from repro.circuits.technology import tsmc65_like
-    from repro.core.calibration import calibrated_suite
-    from repro.core.characterization import CharacterizationPlan
-    from repro.core.dse import DesignSpace
 
-    engine = build_engine(args)
-    start = time.perf_counter()
 
-    technology = tsmc65_like()
-    plan = CharacterizationPlan.quick() if args.fast else None
-    space = DesignSpace.quick() if args.fast else None
-    print("calibrating OPTIMA models (characterisation via SweepEngine) ...")
-    suite = calibrated_suite(technology, plan=plan, engine=engine).suite
-    print(f"exploring the {(space or DesignSpace()).corner_count}-corner design space ...")
-    result = run_design_space_exploration(
-        technology, suite=suite, space=space, engine=engine
+def _format_pvt(payload: Dict[str, Any]) -> str:
+    final = payload["final_v_blb"]
+    sigmas = sorted(payload["mismatch_sigma_mv"].items(), key=lambda item: float(item[0]))
+    return "\n".join(
+        [
+            "Fig. 5: PVT influence on the bit-line discharge (reference simulator)",
+            *(f"  VDD={vdd:.1f} V: final V_BLB = {v:.3f} V" for vdd, v in final["supply"]),
+            *(f"  T={t:5.1f} degC: final V_BLB = {v:.3f} V" for t, v in final["temperature"]),
+            *(
+                f"  corner {name:<8}: final V_BLB = {v:.3f} V"
+                for name, v in final["corner"].items()
+            ),
+            *(f"  sigma(V_BLB) at {float(t) * 1e9:.1f} ns = {mv:5.2f} mV" for t, mv in sigmas),
+            "",
+            "Fig. 8: robustness of the fom corner (OPTIMA models via SweepEngine)",
+            "  " + payload["fom_robustness"],
+        ]
     )
-    elapsed = time.perf_counter() - start
-
-    print()
-    print(result.describe())
-    print()
-    rows = corner_summary_rows(result)
-    print("Table I reproduction (measured vs paper):")
-    print(format_table1(rows))
-    _finish(engine, elapsed)
-    _emit_json(
-        args,
-        {
-            "command": "dse",
-            "fast": args.fast,
-            "corner_count": len(result.points),
-            "corners": result.table(),
-            "selected": rows,
-            "elapsed_seconds": elapsed,
-        },
-    )
-    return 0
 
 
-def _cmd_run_pvt(args: argparse.Namespace) -> int:
-    from repro.analysis.pvt_sweeps import (
-        corner_sweep,
-        mismatch_monte_carlo,
-        supply_sweep,
-        temperature_sweep,
-    )
-    from repro.circuits.technology import tsmc65_like
-    from repro.core.calibration import calibrated_suite
-    from repro.core.characterization import CharacterizationPlan
-    from repro.core.dse import DesignSpace, explore_design_space
-    from repro.core.pvt import analyze_corner_robustness
+def _format_characterize(payload: Dict[str, Any]) -> str:
+    lines = [f"  {sweep:<17} {count:6d} records" for sweep, count in payload["records"].items()]
+    lines.append(f"  {'total':<17} {payload['total_records']:6d} records")
+    return "\n".join(lines)
 
-    engine = build_engine(args)
-    start = time.perf_counter()
-    technology = tsmc65_like()
-    samples = 200 if args.fast else 1000
 
-    print("Fig. 5: PVT influence on the bit-line discharge (reference simulator)")
-    supply = supply_sweep(technology, engine=engine)
-    for vdd, trace in sorted(item for item in supply.items() if item[0] > 0):
-        print(f"  VDD={vdd:.1f} V: final V_BLB = {trace[-1]:.3f} V")
-    temperature = temperature_sweep(technology, engine=engine)
-    for temp_c, trace in sorted(item for item in temperature.items() if item[0] >= 0):
-        print(f"  T={temp_c:5.1f} degC: final V_BLB = {trace[-1]:.3f} V")
-    corners = corner_sweep(technology, engine=engine)
-    for name in ("fast", "typical", "slow"):
-        print(f"  corner {name:<8}: final V_BLB = {corners[name][-1]:.3f} V")
-    monte_carlo = mismatch_monte_carlo(technology, samples=samples)
-    sigmas = {
-        float(t): float(s)
-        for t, s in zip(
-            monte_carlo["sampling_times"], monte_carlo["sigma_at_sampling_times"]
-        )
+def _format_tables(payload: Dict[str, Any]) -> str:
+    from types import SimpleNamespace
+
+    from repro.analysis.dnn_tables import format_accuracy_table, paper_table2_reference
+
+    results = {
+        model: {mode: SimpleNamespace(**cell) for mode, cell in reports.items()}
+        for model, reports in payload["accuracy"].items()
     }
-    for sample_time, sigma in sigmas.items():
-        print(f"  sigma(V_BLB) at {sample_time * 1e9:.1f} ns = {sigma * 1e3:5.2f} mV")
-
-    print("\nFig. 8: robustness of the fom corner (OPTIMA models via SweepEngine)")
-    plan = CharacterizationPlan.quick() if args.fast else None
-    space = DesignSpace.quick() if args.fast else None
-    suite = calibrated_suite(technology, plan=plan, engine=engine).suite
-    exploration = explore_design_space(suite, space=space, engine=engine)
-    fom = exploration.best_fom().config.renamed("fom")
-    report = analyze_corner_robustness(suite, fom, engine=engine)
-    print("  " + report.describe())
-    elapsed = time.perf_counter() - start
-    _finish(engine, elapsed)
-    _emit_json(
-        args,
-        {
-            "command": "pvt",
-            "fast": args.fast,
-            "mismatch_sigma_mv": {str(k): v * 1e3 for k, v in sigmas.items()},
-            "fom_corner": fom.to_dict(),
-            "supply_sweep_error_lsb": [float(v) for v in report.supply_sweep.mean_error_lsb],
-            "temperature_sweep_error_lsb": [
-                float(v) for v in report.temperature_sweep.mean_error_lsb
-            ],
-            "elapsed_seconds": elapsed,
-        },
+    return "Table II protocol (measured vs paper):\n" + format_accuracy_table(
+        results, paper_table2_reference()
     )
-    return 0
 
 
-def _cmd_run_characterize(args: argparse.Namespace) -> int:
-    from repro.circuits.technology import tsmc65_like
-    from repro.core.characterization import CharacterizationPlan, characterize
-
-    engine = build_engine(args)
-    start = time.perf_counter()
-    technology = tsmc65_like()
-    plan = CharacterizationPlan.quick() if args.fast else CharacterizationPlan()
-    print(
-        f"characterising {technology.name} "
-        f"({len(plan.times)} times x {len(plan.wordline_voltages)} V_WL, "
-        f"{len(plan.supply_voltages)} supplies, "
-        f"{len(plan.temperatures_celsius)} temperatures) ..."
-    )
-    data = characterize(technology, plan, engine=engine)
-    elapsed = time.perf_counter() - start
-
-    counts = {
-        "base": len(data.base),
-        "supply": len(data.supply),
-        "temperature": len(data.temperature),
-        "mismatch": len(data.mismatch),
-        "write_energy": len(data.write_energy),
-        "discharge_energy": len(data.discharge_energy),
-    }
-    for sweep, count in counts.items():
-        print(f"  {sweep:<17} {count:6d} records")
-    print(f"  {'total':<17} {data.record_count():6d} records")
-    _finish(engine, elapsed)
-    _emit_json(
-        args,
-        {
-            "command": "characterize",
-            "fast": args.fast,
-            "records": counts,
-            "total_records": data.record_count(),
-            "elapsed_seconds": elapsed,
-        },
-    )
-    return 0
-
-
-def _cmd_run_tables(args: argparse.Namespace) -> int:
-    from repro.analysis.dnn_tables import (
-        DnnExperimentConfig,
-        corner_backends,
-        format_accuracy_table,
-        model_builders,
-        paper_table2_reference,
-        run_dnn_accuracy_experiment,
-    )
-    from repro.circuits.technology import tsmc65_like
-    from repro.core.calibration import calibrated_suite
-    from repro.core.characterization import CharacterizationPlan
-    from repro.core.dse import DesignSpace, explore_design_space, select_corners
-    from repro.dnn.datasets import imagenet_like
-
-    engine = build_engine(args)
-    start = time.perf_counter()
-    technology = tsmc65_like()
-    plan = CharacterizationPlan.quick() if args.fast else None
-    space = DesignSpace.quick() if args.fast else None
-
-    print("selecting multiplier corners (calibration + DSE via SweepEngine) ...")
-    suite = calibrated_suite(technology, plan=plan, engine=engine).suite
-    corners = select_corners(explore_design_space(suite, space=space, engine=engine))
-    backends = corner_backends(technology, suite=suite, corners=corners)
-
-    config = DnnExperimentConfig.quick() if args.fast else DnnExperimentConfig()
-    dataset = imagenet_like(
-        image_size=config.image_size,
-        train_per_class=config.train_per_class,
-        test_per_class=config.test_per_class,
-    )
-    models = model_builders(config.image_size, dataset.classes)
-    if args.fast:
-        models = models[:1]
-    print(
-        f"training + evaluating {len(models)} model(s) on {dataset.name} "
-        f"({dataset.classes} classes) ..."
-    )
-    results = run_dnn_accuracy_experiment(dataset, backends, config=config, models=models)
-    elapsed = time.perf_counter() - start
-
-    print()
-    print("Table II protocol (measured vs paper):")
-    print(format_accuracy_table(results, paper_table2_reference()))
-    _finish(engine, elapsed)
-    _emit_json(
-        args,
-        {
-            "command": "tables",
-            "fast": args.fast,
-            "accuracy": {
-                model: {
-                    mode: {"top1": report.top1, "top5": report.top5}
-                    for mode, report in reports.items()
-                }
-                for model, reports in results.items()
-            },
-            "elapsed_seconds": elapsed,
-        },
-    )
-    return 0
-
-
-_RUN_COMMANDS = {
-    "dse": _cmd_run_dse,
-    "pvt": _cmd_run_pvt,
-    "characterize": _cmd_run_characterize,
-    "tables": _cmd_run_tables,
+#: Text renderings of the paper workloads' payloads; any other registered
+#: workload prints its payload as indented JSON.
+_TEXT_FORMATTERS = {
+    "dse": _format_dse,
+    "pvt": _format_pvt,
+    "characterize": _format_characterize,
+    "tables": _format_tables,
 }
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    engine = build_engine(args)
+    start = time.perf_counter()
+    payload = get_workload(args.workload)({"fast": args.fast}, engine)
+    elapsed = time.perf_counter() - start
+    formatter = _TEXT_FORMATTERS.get(args.workload)
+    print(formatter(payload) if formatter else json.dumps(payload, indent=2, sort_keys=True))
+    _finish(engine, elapsed)
+    _emit_json(args, payload)
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -845,9 +707,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "workload",
-        choices=sorted(_RUN_COMMANDS),
-        help="dse: 48-corner exploration; pvt: Fig. 5/8 sweeps; "
-        "characterize: reference sweeps; tables: DNN accuracy tables",
+        choices=workload_names(),
+        help="a service workload (repro.service.workloads); dse: 48-corner "
+        "exploration; pvt: Fig. 5/8 sweeps; characterize: reference sweeps; "
+        "tables: DNN accuracy tables; any other workload prints its payload "
+        "as JSON",
     )
     _add_engine_options(run_parser)
 
@@ -1124,10 +988,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 flush=True,
             )
             try:
-                return _RUN_COMMANDS[args.workload](args)
+                return _cmd_run(args)
             finally:
                 metrics_server.stop_in_thread()
-        return _RUN_COMMANDS[args.workload](args)
+        return _cmd_run(args)
     except EngineOptionError as error:
         # Bad engine options (e.g. --workers 0) surface as a clean CLI
         # error; genuine workload failures keep their traceback.

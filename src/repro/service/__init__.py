@@ -13,7 +13,7 @@ Layout::
 
     protocol.py   service message constructors (framing shared via repro.wire)
     progress.py   thread-safe progress fan-out (engine callback -> asyncio)
-    workloads.py  registry of servable workloads (dse / characterize / ...)
+    workloads.py  registry of the paper workloads (also `python -m repro run`)
     server.py     SweepService: asyncio.start_server + single-flight
     client.py     ServiceClient (async) + run_sweep (sync convenience)
 

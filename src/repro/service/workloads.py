@@ -13,9 +13,10 @@ A workload is a plain function ``fn(params, engine) -> payload``:
 
 Workload functions run on a worker thread (the service wraps them in
 ``loop.run_in_executor``), so they may block; they must not touch the event
-loop.  The built-ins mirror the ``python -m repro run`` subcommands'
-``--json`` payloads, so a service client and a batch CLI run produce
-comparable documents.
+loop.  ``python -m repro run`` is a view over this registry: ``run X``
+calls workload ``X`` with ``{"fast": ...}``, prints a text rendering of
+the payload and writes the payload unchanged for ``--json``, so a service
+client and a CLI run produce the same document.
 
 The registry is open: tests and downstream deployments add workloads with
 :func:`register_workload` (used as a decorator or called directly).
@@ -114,6 +115,110 @@ def run_characterize(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, A
             "discharge_energy": len(data.discharge_energy),
         },
         "total_records": data.record_count(),
+    }
+
+
+@register_workload("pvt")
+def run_pvt(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
+    """Fig. 5 PVT sweeps and Fig. 8 fom robustness; ``{"fast": true}`` for quick presets."""
+    from repro.analysis.pvt_sweeps import (
+        corner_sweep,
+        mismatch_monte_carlo,
+        supply_sweep,
+        temperature_sweep,
+    )
+    from repro.circuits.technology import tsmc65_like
+    from repro.core.calibration import calibrated_suite
+    from repro.core.characterization import CharacterizationPlan
+    from repro.core.dse import DesignSpace, explore_design_space
+    from repro.core.pvt import analyze_corner_robustness
+
+    fast = bool(params.get("fast", False))
+    technology = tsmc65_like()
+    supply = supply_sweep(technology, engine=engine)
+    temperature = temperature_sweep(technology, engine=engine)
+    corners = corner_sweep(technology, engine=engine)
+    monte_carlo = mismatch_monte_carlo(technology, samples=200 if fast else 1000)
+    plan = CharacterizationPlan.quick() if fast else None
+    space = DesignSpace.quick() if fast else None
+    suite = calibrated_suite(technology, plan=plan, engine=engine).suite
+    exploration = explore_design_space(suite, space=space, engine=engine)
+    fom = exploration.best_fom().config.renamed("fom")
+    report = analyze_corner_robustness(suite, fom, engine=engine)
+    return {
+        "command": "pvt",
+        "fast": fast,
+        # Final V_BLB of each Fig. 5 trace; the supply and temperature
+        # filters skip the time axis, stored under the key -1.0.
+        "final_v_blb": {
+            "supply": [
+                [vdd, float(trace[-1])] for vdd, trace in sorted(supply.items()) if vdd > 0
+            ],
+            "temperature": [
+                [temp_c, float(trace[-1])]
+                for temp_c, trace in sorted(temperature.items())
+                if temp_c >= 0
+            ],
+            "corner": {name: float(corners[name][-1]) for name in ("fast", "typical", "slow")},
+        },
+        "mismatch_sigma_mv": {
+            str(float(t)): float(s) * 1e3
+            for t, s in zip(
+                monte_carlo["sampling_times"], monte_carlo["sigma_at_sampling_times"]
+            )
+        },
+        "fom_corner": fom.to_dict(),
+        "fom_robustness": report.describe(),
+        "supply_sweep_error_lsb": [float(v) for v in report.supply_sweep.mean_error_lsb],
+        "temperature_sweep_error_lsb": [
+            float(v) for v in report.temperature_sweep.mean_error_lsb
+        ],
+    }
+
+
+@register_workload("tables")
+def run_tables(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
+    """DNN accuracy tables (Table II protocol); ``{"fast": true}`` trains one quick model."""
+    from repro.analysis.dnn_tables import (
+        DnnExperimentConfig,
+        corner_backends,
+        model_builders,
+        run_dnn_accuracy_experiment,
+    )
+    from repro.circuits.technology import tsmc65_like
+    from repro.core.calibration import calibrated_suite
+    from repro.core.characterization import CharacterizationPlan
+    from repro.core.dse import DesignSpace, explore_design_space, select_corners
+    from repro.dnn.datasets import imagenet_like
+
+    fast = bool(params.get("fast", False))
+    technology = tsmc65_like()
+    plan = CharacterizationPlan.quick() if fast else None
+    space = DesignSpace.quick() if fast else None
+    suite = calibrated_suite(technology, plan=plan, engine=engine).suite
+    corners = select_corners(explore_design_space(suite, space=space, engine=engine))
+    backends = corner_backends(technology, suite=suite, corners=corners)
+
+    config = DnnExperimentConfig.quick() if fast else DnnExperimentConfig()
+    dataset = imagenet_like(
+        image_size=config.image_size,
+        train_per_class=config.train_per_class,
+        test_per_class=config.test_per_class,
+    )
+    models = model_builders(config.image_size, dataset.classes)
+    if fast:
+        models = models[:1]
+    results = run_dnn_accuracy_experiment(dataset, backends, config=config, models=models)
+    return {
+        "command": "tables",
+        "fast": fast,
+        "accuracy": {
+            model: {
+                mode: {"top1": report.top1, "top5": report.top5}
+                for mode, report in reports.items()
+            }
+            for model, reports in results.items()
+        },
     }
 
 
@@ -398,14 +503,6 @@ def run_dnn(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     }
 
 
-def _montecarlo_job(samples: int, seed: int) -> Dict[str, Any]:
-    """Module-level job body (picklable for the process-pool executor)."""
-    from repro.analysis.pvt_sweeps import mismatch_monte_carlo
-    from repro.circuits.technology import tsmc65_like
-
-    return mismatch_monte_carlo(tsmc65_like(), samples=samples, seed=seed)
-
-
 @register_workload("montecarlo")
 def run_montecarlo(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any]:
     """Fig. 5d Monte-Carlo mismatch spread; ``samples`` / ``seed`` / ``shards``.
@@ -417,13 +514,11 @@ def run_montecarlo(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any
     the request's single progress stream, and the merged panel is
     bit-identical to the unsharded one.  Each shard is content-addressed,
     so repeat requests resolve engine-side from the artifact cache and warm
-    shards never reach a worker.
-
-    Unsharded, the panel is one vectorised solver call riding the engine as
-    a single cacheable job, exactly as before.
+    shards never reach a worker.  One shard is the whole panel as a single
+    vectorised solver job.
     """
+    from repro.analysis.pvt_sweeps import mismatch_monte_carlo_sharded
     from repro.circuits.technology import tsmc65_like
-    from repro.runtime import Artifact, Job, job_key
 
     samples = int(params.get("samples", 200))
     seed = int(params.get("seed", 2024))
@@ -432,22 +527,9 @@ def run_montecarlo(params: Dict[str, Any], engine: SweepEngine) -> Dict[str, Any
         raise ValueError("samples must be at least 1")
     if shards < 1:
         raise ValueError("shards must be at least 1")
-    if shards > 1:
-        from repro.analysis.pvt_sweeps import mismatch_monte_carlo_sharded
-
-        result = mismatch_monte_carlo_sharded(
-            tsmc65_like(), samples=samples, seed=seed, shards=shards, engine=engine
-        )
-    else:
-        job = Job(
-            fn=_montecarlo_job,
-            args=(samples, seed),
-            name=f"montecarlo[{samples}]",
-            key=job_key("service-montecarlo", tsmc65_like(), samples, seed),
-            encode=lambda result: Artifact(arrays=dict(result)),
-            decode=lambda artifact: dict(artifact.arrays),
-        )
-        result = engine.run_one(job)
+    result = mismatch_monte_carlo_sharded(
+        tsmc65_like(), samples=samples, seed=seed, shards=shards, engine=engine
+    )
     sigmas = {
         f"{float(t) * 1e9:.1f}ns": float(s)
         for t, s in zip(result["sampling_times"], result["sigma_at_sampling_times"])

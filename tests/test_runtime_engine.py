@@ -400,6 +400,37 @@ class TestCli:
                 == 0
             )
 
+    @pytest.mark.parametrize("workload", ["dse", "pvt", "characterize", "tables"])
+    def test_run_json_is_the_service_payload(self, workload, tmp_path, capsys):
+        from repro.service.workloads import get_workload
+
+        json_path = tmp_path / f"{workload}.json"
+        args = ["run", workload, "--fast", "--quiet", "--cache-dir", str(tmp_path / "cache")]
+        assert cli_main([*args, "--json", str(json_path)]) == 0
+        assert "SweepEngine" in capsys.readouterr().out
+        payload = get_workload(workload)({"fast": True}, SweepEngine())
+        assert json.loads(json_path.read_text()) == json.loads(json.dumps(payload))
+
+    def test_run_choices_are_the_workload_registry(self, tmp_path, capsys):
+        import argparse
+
+        from repro.runtime.cli import build_parser
+        from repro.service.workloads import workload_names
+
+        subcommands = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        run_parser = subcommands.choices["run"]
+        workload = next(action for action in run_parser._actions if action.dest == "workload")
+        assert list(workload.choices) == workload_names()
+        assert (
+            cli_main(["run", "montecarlo", "--quiet", "--cache-dir", str(tmp_path / "cache")])
+            == 0
+        )
+        assert '"command": "montecarlo"' in capsys.readouterr().out
+
 
 class TestMakeExecutorValidation:
     """CLI flags must never be silently ignored or coerced."""
