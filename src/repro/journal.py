@@ -78,8 +78,8 @@ def default_journal_path(cache_dir: Optional[PathLike] = None) -> pathlib.Path:
 
     The journal lives *inside* the cache directory — the artifacts it
     refers to and the record of how they came to be travel together, and
-    ``cache clear`` keeps its hands off it (the cache only removes ``.npz``
-    files).
+    ``cache clear`` keeps its hands off it (the cache only removes ``.art``
+    artifacts, their tmp files and ``.npz`` files of the previous format).
     """
     from repro.runtime.cache import default_cache_dir
 

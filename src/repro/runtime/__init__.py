@@ -11,9 +11,11 @@ evaluations) submits its work to one front door, the :class:`SweepEngine`:
   or the cluster-backed ``distributed`` strategy (:mod:`repro.cluster`,
   long-lived worker processes on any host) — and every strategy produces
   bit-identical results,
-* results of cache-enabled jobs are persisted as content-addressed ``.npz``
-  artifacts (:mod:`repro.runtime.cache`); ``ArtifactCache(max_bytes=...)``
-  additionally LRU-evicts cold artifacts so the cache stays size-bounded,
+* results of cache-enabled jobs are persisted as content-addressed flat
+  ``.art`` artifacts — a JSON header, a CRC-32 and the raw array bytes in
+  the :mod:`repro.wire` codec (:mod:`repro.runtime.cache`);
+  ``ArtifactCache(max_bytes=...)`` additionally LRU-evicts cold artifacts
+  so the cache stays size-bounded,
 * the paper experiments are defined once, as the workloads of
   :mod:`repro.service.workloads`; the unified CLI (``python -m repro run
   dse|pvt|characterize|tables|...``, :mod:`repro.runtime.cli`) runs one

@@ -1,12 +1,31 @@
 """Content-addressed on-disk artifact cache.
 
 Expensive sweep results (reference-simulator characterisation tables,
-design-space corner evaluations) are stored as ``.npz`` artifacts addressed
-by the SHA-256 content hash of everything that determines them: the sweep
-plan, the technology card, the operating conditions and the code version
-(see :func:`repro.runtime.jobs.job_key`).  A warm re-run of a sweep
-therefore never touches the reference solver — it deserialises the artifact
-and returns.
+design-space corner evaluations) are stored as flat ``.art`` artifacts
+addressed by the SHA-256 content hash of everything that determines them:
+the sweep plan, the technology card, the operating conditions and the code
+version (see :func:`repro.runtime.jobs.job_key`).  A warm re-run of a sweep
+therefore never touches the reference solver — it reads the artifact and
+returns.
+
+Artifact layout
+---------------
+One file per artifact, read with a single ``read``::
+
+    REPRO-ART1\n                                          magic line
+    {"arrays": [...], "meta": {...}, "payload_bytes": N} C\n  header line
+    <N raw payload bytes>
+
+The JSON header carries the artifact's ``meta``, the array specs
+``{name, dtype, shape}`` of :func:`repro.wire.pack_arrays` and the payload
+length; ``C`` is the ``zlib.crc32`` (8 hex digits) of the JSON header
+followed by the payload, so a flipped byte anywhere after the magic line —
+a metadata value as much as an array element — makes the artifact
+corrupt, never a wrong result.  The payload is the arrays' raw bytes,
+concatenated in order, and is decoded by :func:`repro.wire.unpack_arrays`
+— the same validated codec the service and cluster wire use — from a
+``bytearray``, so the returned arrays are writable.  Object dtypes are
+rejected on write and on read, so no artifact can carry a pickle.
 
 Robustness properties the tests assert:
 
@@ -15,14 +34,17 @@ Robustness properties the tests assert:
 * **invalidation** — any change to the technology card, the plan, the
   operating conditions or :data:`repro.__version__` changes the key, so
   stale artifacts are never served;
-* **corrupt-artifact recovery** — an unreadable artifact is treated as a
-  miss and deleted, never as an error;
+* **corrupt-artifact recovery** — an unreadable artifact (wrong magic, a
+  failed CRC-32, a header that does not parse or whose specs do not tile
+  the payload) is treated as a miss and deleted, never as an error;
 * **atomic writes** — artifacts are written to a temporary file and
   ``os.replace``-d into place, so a crashed run cannot leave a truncated
   artifact under a live key.  Temporary files orphaned by a crashed
   ``put`` still occupy disk, so :meth:`ArtifactCache.size_bytes` counts
   them and :meth:`ArtifactCache.clear` / :meth:`ArtifactCache.evict`
-  sweep them;
+  sweep them.  ``.npz`` files left by the previous zip-archive format are
+  garbage the same way (the code version in every key means they can
+  never be looked up again) and are counted and swept alike;
 * **size-bounded LRU eviction** — a cache built with ``max_bytes`` evicts
   least-recently-used artifacts whenever a ``put`` pushes it over the
   limit (never the artifact just written).  Recency is tracked through
@@ -40,14 +62,23 @@ import pathlib
 import tempfile
 import threading
 import time
-import zipfile
+import zlib
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro import obs
+from repro import obs, wire
 
-_META_KEY = "__meta__"
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+#: First line of every artifact file; a file without it is corrupt.
+_MAGIC = b"REPRO-ART1\n"
+_SUFFIX = ".art"
+_TMP_SUFFIX = ".art.tmp"
+#: Files of the previous zip-archive format: never read, only counted and
+#: swept (artifacts, and tmp files of a writer that crashed).
+_LEGACY_GLOB = "*/*.npz"
+_LEGACY_TMP_GLOB = "*/*.npz.tmp"
 
 # Process-wide mirrors of the per-instance CacheStats counters (one label
 # per accounting event), plus the footprint gauge: `status`, `cache info`
@@ -56,6 +87,11 @@ _CACHE_EVENTS = obs.counter(
     "repro_cache_events_total",
     "Artifact-cache accounting events (hit/miss/write/write_error/corrupt/evict).",
     labels=("event",),
+)
+_CACHE_BYTES = obs.counter(
+    "repro_cache_bytes_total",
+    "Artifact bytes moved by cache hits (read) and stores (write).",
+    labels=("direction",),
 )
 _CACHE_SIZE = obs.gauge(
     "repro_cache_size_bytes",
@@ -84,10 +120,6 @@ class Artifact:
     arrays: Dict[str, np.ndarray] = dataclasses.field(default_factory=dict)
     meta: Dict[str, object] = dataclasses.field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if _META_KEY in self.arrays:
-            raise ValueError(f"array name {_META_KEY!r} is reserved")
-
 
 @dataclasses.dataclass
 class CacheStats:
@@ -108,16 +140,62 @@ class CacheStats:
         )
 
 
-def _write_atomically(path: pathlib.Path, payload: Dict[str, np.ndarray]) -> None:
-    """Write ``payload`` as ``.npz`` to a tmp file, then rename it to ``path``.
+def _encode(artifact: Artifact) -> bytes:
+    """Serialise ``artifact`` to the flat layout (magic, header line, payload).
+
+    Raises :class:`ValueError` for object-dtype arrays.
+    """
+    arrays = {name: np.asarray(value) for name, value in artifact.arrays.items()}
+    specs, payload = wire.pack_arrays(list(arrays.values()))
+    header = json.dumps(
+        {
+            "arrays": [{"name": name, **spec} for name, spec in zip(arrays, specs)],
+            "meta": artifact.meta,
+            "payload_bytes": len(payload),
+        },
+        sort_keys=True,
+    ).encode("utf-8")
+    crc = zlib.crc32(payload, zlib.crc32(header))
+    return b"%s%s %08x\n%s" % (_MAGIC, header, crc, payload)
+
+
+def _decode(data: bytes) -> Artifact:
+    """Inverse of :func:`_encode`.
+
+    Any inconsistency raises ``ValueError`` (the wire codec's
+    ``ProtocolError`` included), or ``KeyError`` / ``TypeError`` for a
+    header of the wrong shape.
+    """
+    if not data.startswith(_MAGIC):
+        raise ValueError("not a repro artifact (bad magic)")
+    newline = data.find(b"\n", len(_MAGIC))
+    if newline < 0:
+        raise ValueError("artifact header line is not terminated")
+    header_bytes, _, crc = data[len(_MAGIC):newline].rpartition(b" ")
+    payload = bytearray(memoryview(data)[newline + 1:])
+    if int(crc, 16) != zlib.crc32(payload, zlib.crc32(header_bytes)):
+        raise ValueError("artifact fails its CRC-32 check")
+    header = json.loads(header_bytes)
+    if header["payload_bytes"] != len(payload) or not isinstance(header["meta"], dict):
+        raise ValueError("artifact header does not describe its payload")
+    specs = header["arrays"]
+    arrays = wire.unpack_arrays(specs, payload)
+    return Artifact(
+        arrays={spec["name"]: array for spec, array in zip(specs, arrays)},
+        meta=header["meta"],
+    )
+
+
+def _write_atomically(path: pathlib.Path, data: bytes) -> None:
+    """Write ``data`` to a tmp file, then rename it to ``path``.
 
     A failed write removes its tmp file before re-raising.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=_TMP_SUFFIX)
     try:
         with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **payload)
+            handle.write(data)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -128,7 +206,7 @@ def _write_atomically(path: pathlib.Path, payload: Dict[str, np.ndarray]) -> Non
 
 
 class ArtifactCache:
-    """Content-addressed ``.npz`` artifact store.
+    """Content-addressed store of flat ``.art`` artifacts.
 
     Parameters
     ----------
@@ -184,9 +262,9 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> pathlib.Path:
         """On-disk location of the artifact for ``key``."""
-        if not key or any(c not in "0123456789abcdef" for c in key):
+        if not key or not _HEX_DIGITS.issuperset(key):
             raise ValueError(f"cache keys must be lowercase hex digests, got {key!r}")
-        return self.root / key[:2] / f"{key}.npz"
+        return self.root.joinpath(key[:2], key + _SUFFIX)
 
     def has(self, key: str) -> bool:
         """Whether an artifact (possibly corrupt) exists for ``key``."""
@@ -202,20 +280,16 @@ class ArtifactCache:
         them from scratch.
         """
         path = self.path_for(key)
-        if not path.exists():
+        try:
+            data = path.read_bytes()
+            artifact = _decode(data)
+        except FileNotFoundError:
             with self._lock:
                 self.stats.misses += 1
             _CACHE_EVENTS.inc(event="miss")
             obs.EVENTS.emit("cache_miss", key=key)
             return None
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                meta_bytes = bytes(bytearray(archive[_META_KEY]))
-                meta = json.loads(meta_bytes.decode("utf-8"))
-                arrays = {
-                    name: archive[name] for name in archive.files if name != _META_KEY
-                }
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile, json.JSONDecodeError):
+        except (OSError, ValueError, KeyError, TypeError):
             with self._lock:
                 self.stats.corrupt_dropped += 1
                 self.stats.misses += 1
@@ -227,17 +301,18 @@ class ArtifactCache:
             except OSError:
                 pass
             return None
-        with self._lock:
-            self.stats.hits += 1
-        _CACHE_EVENTS.inc(event="hit")
-        obs.EVENTS.emit("cache_hit", key=key)
         try:
             # Bump the timestamps so LRU eviction sees this artifact as
             # recently used even on filesystems mounted noatime.
             os.utime(path)
         except OSError:
             pass
-        return Artifact(arrays=arrays, meta=meta)
+        with self._lock:
+            self.stats.hits += 1
+        _CACHE_EVENTS.inc(event="hit")
+        _CACHE_BYTES.inc(len(data), direction="read")
+        obs.EVENTS.emit("cache_hit", key=key)
+        return artifact
 
     def put(self, key: str, artifact: Artifact) -> pathlib.Path:
         """Atomically store ``artifact`` under ``key`` and return its path.
@@ -246,22 +321,19 @@ class ArtifactCache:
         the limit triggers LRU eviction; the artifact just written is
         always protected from it.  A write that fails with ``OSError``
         (disk full, read-only directory) leaves no tmp file behind, is
-        counted as a ``write_error`` event and re-raises.
+        counted as a ``write_error`` event and re-raises.  An artifact
+        holding object-dtype arrays raises :class:`ValueError` before any
+        file is created.
         """
         path = self.path_for(key)
-        meta_bytes = json.dumps(artifact.meta, sort_keys=True).encode("utf-8")
-        payload = dict(artifact.arrays)
-        payload[_META_KEY] = np.frombuffer(meta_bytes, dtype=np.uint8)
+        data = _encode(artifact)
         try:
-            _write_atomically(path, payload)
+            _write_atomically(path, data)
         except OSError:
             _CACHE_EVENTS.inc(event="write_error")
             raise
         over_limit = False
-        try:
-            written = path.stat().st_size
-        except OSError:
-            written = 0
+        written = len(data)
         with self._lock:
             self.stats.writes += 1
             if self.max_bytes is not None:
@@ -272,6 +344,7 @@ class ArtifactCache:
                 over_limit = self._size_estimate > self.max_bytes
                 _CACHE_SIZE.set(self._size_estimate)
         _CACHE_EVENTS.inc(event="write")
+        _CACHE_BYTES.inc(written, direction="write")
         obs.EVENTS.emit("cache_write", key=key, bytes=written)
         if over_limit:
             self.evict(protect=(key,))
@@ -280,16 +353,21 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _artifact_paths(self) -> List[pathlib.Path]:
+    def _glob(self, *patterns: str) -> List[pathlib.Path]:
         if not self.root.exists():
             return []
-        return sorted(self.root.glob("*/*.npz"))
+        return sorted(path for pattern in patterns for path in self.root.glob(pattern))
+
+    def _artifact_paths(self) -> List[pathlib.Path]:
+        return self._glob("*/*" + _SUFFIX)
 
     def _tmp_paths(self) -> List[pathlib.Path]:
         """Temporary files orphaned by a ``put`` that crashed mid-write."""
-        if not self.root.exists():
-            return []
-        return sorted(self.root.glob("*/*.npz.tmp"))
+        return self._glob("*/*" + _TMP_SUFFIX, _LEGACY_TMP_GLOB)
+
+    def _legacy_paths(self) -> List[pathlib.Path]:
+        """Artifacts of the previous ``.npz`` format, unreachable by any key."""
+        return self._glob(_LEGACY_GLOB)
 
     def keys(self) -> Iterator[str]:
         """Iterate over every stored artifact key."""
@@ -300,9 +378,9 @@ class ArtifactCache:
         return sum(1 for _ in self.keys())
 
     def size_bytes(self) -> int:
-        """Total on-disk footprint in bytes, stray tmp files included."""
+        """Total on-disk footprint in bytes, stray tmp and legacy files included."""
         total = 0
-        for path in self._artifact_paths() + self._tmp_paths():
+        for path in self._artifact_paths() + self._tmp_paths() + self._legacy_paths():
             try:
                 total += path.stat().st_size
             except OSError:
@@ -310,9 +388,9 @@ class ArtifactCache:
         return total
 
     def clear(self) -> int:
-        """Delete every artifact and stray tmp file; returns files removed."""
+        """Delete every artifact, stray tmp and legacy file; returns files removed."""
         removed = 0
-        for path in self._artifact_paths() + self._tmp_paths():
+        for path in self._artifact_paths() + self._tmp_paths() + self._legacy_paths():
             try:
                 path.unlink()
                 removed += 1
@@ -341,7 +419,8 @@ class ArtifactCache:
             written.
 
         Returns the number of files removed.  Stale tmp files (older than
-        one hour, i.e. certainly not an in-flight write) are swept first;
+        one hour, i.e. certainly not an in-flight write) and every legacy
+        ``.npz`` artifact are swept first;
         artifacts are then removed oldest-first, where age is the newest of
         ``st_atime`` / ``st_mtime`` (every cache hit bumps both).
         """
@@ -355,6 +434,12 @@ class ArtifactCache:
                 if tmp.stat().st_mtime < stale_before:
                     tmp.unlink()
                     removed += 1
+            except OSError:
+                pass
+        for legacy in self._legacy_paths():
+            try:
+                legacy.unlink()
+                removed += 1
             except OSError:
                 pass
         entries = []

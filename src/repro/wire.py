@@ -30,8 +30,9 @@ bound is deliberately separate from :data:`MAX_MESSAGE_BYTES`: headers stay
 small and debuggable while chunked NumPy results ride behind them.
 :func:`pack_arrays` / :func:`unpack_arrays` are the canonical payload
 codec — dtype/shape-tagged contiguous buffers, reconstructed zero-copy
-with ``np.frombuffer`` (this module is the only place outside the cache
-allowed to do that; the ``REPRO-WIRE01`` lint rule enforces it).
+with ``np.frombuffer`` (this module is the only place allowed to do that;
+the ``REPRO-WIRE01`` lint rule enforces it).  The artifact cache stores
+its arrays in the same codec.
 
 Everything here used to live in :mod:`repro.service.protocol`; it was
 extracted so the service and the cluster share one tested implementation.
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -190,16 +191,20 @@ def pack_arrays(arrays: Sequence[np.ndarray]) -> Tuple[List[Dict[str, Any]], byt
             raise ProtocolError(f"pack_arrays expects ndarrays, got {type(array).__name__}")
         if array.dtype.hasobject:
             raise ProtocolError("object dtypes cannot cross the wire as raw buffers")
-        contiguous = np.ascontiguousarray(array)
-        specs.append({"dtype": contiguous.dtype.str, "shape": list(contiguous.shape)})
-        buffers.append(contiguous.tobytes())
+        # tobytes() is C-ordered for any layout and, unlike
+        # np.ascontiguousarray, keeps a 0-d array 0-d.
+        specs.append({"dtype": array.dtype.str, "shape": list(array.shape)})
+        buffers.append(array.tobytes())
     return specs, b"".join(buffers)
 
 
-def unpack_arrays(specs: Sequence[Dict[str, Any]], payload: bytes) -> List[np.ndarray]:
+def unpack_arrays(
+    specs: Sequence[Dict[str, Any]], payload: Union[bytes, bytearray]
+) -> List[np.ndarray]:
     """Reconstruct :func:`pack_arrays` output zero-copy from the payload.
 
-    The returned arrays are read-only views over ``payload``.  Any
+    The returned arrays are views over ``payload``: read-only over
+    ``bytes``, writable over a ``bytearray``.  Any
     inconsistency — bad dtype string, negative shape, payload length not
     matching the specs — raises :class:`ProtocolError`.
     """

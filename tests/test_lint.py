@@ -318,9 +318,7 @@ class TestWireSafety:
         )
         assert rules_of(result) == ["REPRO-WIRE01"]
 
-    @pytest.mark.parametrize(
-        "name, subdir", [("wire.py", "repro"), ("cache.py", "repro/runtime")]
-    )
+    @pytest.mark.parametrize("name, subdir", [("wire.py", "repro")])
     def test_the_validated_codecs_are_exempt(self, tmp_path, name, subdir):
         result = lint_source(
             tmp_path,
@@ -334,6 +332,22 @@ class TestWireSafety:
             subdir=subdir,
         )
         assert result.findings == []
+
+    def test_the_artifact_cache_is_not_exempt(self, tmp_path):
+        """The artifact cache decodes through repro.wire.unpack_arrays, so
+        a raw-buffer decode there is a finding like anywhere else."""
+        result = lint_source(
+            tmp_path,
+            """
+            import numpy as np
+
+            def decode(blob):
+                return np.frombuffer(blob, dtype=np.uint8)
+            """,
+            name="cache.py",
+            subdir="repro/runtime",
+        )
+        assert rules_of(result) == ["REPRO-WIRE01"]
 
     def test_shipped_shim_really_is_the_only_pickle_surface(self):
         """The allowlist is not aspirational: linting src finds no

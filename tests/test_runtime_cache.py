@@ -8,16 +8,24 @@ that never touch the reference solver.
 
 from __future__ import annotations
 
+import errno
+import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
+import repro.runtime.cache as cache_module
 import repro.runtime.jobs as jobs_module
+from repro import obs
 from repro.circuits.conditions import OperatingConditions
 from repro.circuits.technology import ProcessCorner, tsmc65_like
 from repro.core.characterization import CharacterizationPlan, characterize
@@ -37,6 +45,28 @@ from repro.core.characterization import CharacterizationPlan
 from repro.runtime import job_key
 print(job_key("char-base", tsmc65_like(), CharacterizationPlan.quick()))
 """
+
+
+def _fail_artifact_writes(monkeypatch, error):
+    """Make the artifact tmp handle's ``write`` raise ``error``."""
+    real_fdopen = os.fdopen
+
+    class FailingHandle:
+        def __init__(self, handle):
+            self._handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self._handle.close()
+
+        def write(self, data):
+            raise error
+
+    monkeypatch.setattr(
+        cache_module.os, "fdopen", lambda fd, mode: FailingHandle(real_fdopen(fd, mode))
+    )
 
 
 class TestFingerprint:
@@ -122,7 +152,7 @@ class TestArtifactCache:
             meta={"label": "toy", "count": 5},
         )
         path = cache.put(key, artifact)
-        assert path.exists() and path.suffix == ".npz"
+        assert path.exists() and path.suffix == ".art"
         assert cache.has(key)
         loaded = cache.get(key)
         np.testing.assert_array_equal(loaded.arrays["x"], artifact.arrays["x"])
@@ -140,17 +170,13 @@ class TestArtifactCache:
         key = job_key("corrupt-me")
         cache.put(key, Artifact(arrays={"x": np.arange(3.0)}))
         path = cache.path_for(key)
-        path.write_bytes(b"this is not an npz archive")
+        path.write_bytes(b"this is not an artifact")
         assert cache.get(key) is None
         assert not path.exists(), "corrupt artifact must be deleted"
         assert cache.stats.corrupt_dropped == 1
         # the key is usable again after recovery
         cache.put(key, Artifact(arrays={"x": np.arange(3.0)}))
         np.testing.assert_array_equal(cache.get(key).arrays["x"], np.arange(3.0))
-
-    def test_reserved_meta_name_rejected(self):
-        with pytest.raises(ValueError):
-            Artifact(arrays={"__meta__": np.zeros(1)})
 
     def test_invalid_key_rejected(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -174,6 +200,137 @@ class TestArtifactCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "override"))
         assert default_cache_dir() == tmp_path / "override"
         assert ArtifactCache().root == tmp_path / "override"
+
+
+def _frame(header, payload):
+    """An artifact file holding ``header`` and ``payload`` with a matching CRC."""
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    crc = zlib.crc32(payload, zlib.crc32(header_bytes))
+    return b"REPRO-ART1\n%s %08x\n%s" % (header_bytes, crc, payload)
+
+
+def _header(arrays=(("x", "<f8", [4]),), payload_bytes=32):
+    return {
+        "arrays": [{"name": n, "dtype": d, "shape": s} for n, d, s in arrays],
+        "meta": {},
+        "payload_bytes": payload_bytes,
+    }
+
+
+#: The artifact ``{"x": np.arange(4.0)}`` as ``put`` writes it.
+_GOOD_PAYLOAD = np.arange(4.0).tobytes()
+_GOOD_FILE = _frame(_header(), _GOOD_PAYLOAD)
+
+#: Each fault turns the good file into a corrupt one.  The header faults
+#: carry a matching CRC, so they reach the array codec's own checks.
+_FAULTS = {
+    "truncated payload": _GOOD_FILE[:-5],
+    "flipped payload byte": _GOOD_FILE[:-3] + bytes([_GOOD_FILE[-3] ^ 0x10]) + _GOOD_FILE[-2:],
+    "wrong magic": b"REPRO-ART0" + _GOOD_FILE[10:],
+    "header without newline": _GOOD_FILE[: _GOOD_FILE.index(b"\n", 11)],
+    "spec longer than payload": _frame(_header(arrays=[("x", "<f8", [5])]), _GOOD_PAYLOAD),
+    "undeclared trailing bytes": _frame(_header(payload_bytes=40), _GOOD_PAYLOAD + bytes(8)),
+    "object dtype": _frame(_header(arrays=[("x", "|O", [4])]), _GOOD_PAYLOAD),
+}
+
+_DTYPES = ["|b1", "|i1", "<i2", ">i2", "<i4", ">i4", "<i8", ">i8",
+           "<f4", ">f4", "<f8", ">f8", "<c16"]
+
+
+@st.composite
+def _any_array(draw):
+    """Arbitrary bytes as any supported dtype: 0-d, empty or Fortran-ordered."""
+    dtype = np.dtype(draw(st.sampled_from(_DTYPES)))
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    raw = draw(st.binary(min_size=nbytes, max_size=nbytes))
+    array = np.array(bytearray(raw), dtype=np.uint8).view(dtype).reshape(shape)
+    return np.asfortranarray(array) if draw(st.booleans()) else array
+
+
+class TestArtifactFormat:
+    def test_put_writes_the_documented_layout(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        path = cache.put(job_key("layout"), Artifact(arrays={"x": np.arange(4.0)}))
+        assert path.read_bytes() == _GOOD_FILE
+
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_corrupt_artifact_is_dropped_as_a_miss(self, tmp_path, fault):
+        cache = ArtifactCache(tmp_path)
+        key = job_key("fault", fault)
+        path = cache.put(key, Artifact(arrays={"x": np.arange(4.0)}))
+        path.write_bytes(_FAULTS[fault])
+        events = obs.REGISTRY.counter("repro_cache_events_total", labels=("event",))
+        corrupt_before = events.value(event="corrupt")
+        assert cache.get(key) is None
+        assert cache.stats.corrupt_dropped == 1 and cache.stats.misses == 1
+        assert events.value(event="corrupt") == corrupt_before + 1
+        assert not path.exists(), "a corrupt artifact must be deleted"
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        arrays=st.dictionaries(st.text(min_size=1, max_size=6), _any_array(), max_size=4),
+        meta=st.dictionaries(
+            st.text(max_size=6),
+            st.floats() | st.integers() | st.text(max_size=6) | st.none(),
+            max_size=4,
+        ),
+    )
+    def test_round_trip_is_byte_identical(self, arrays, meta):
+        with tempfile.TemporaryDirectory() as root:
+            cache = ArtifactCache(root)
+            key = job_key("round-trip")
+            cache.put(key, Artifact(arrays=arrays, meta=meta))
+            loaded = cache.get(key)
+        assert list(loaded.arrays) == list(arrays)
+        for name, original in arrays.items():
+            copy = loaded.arrays[name]
+            assert copy.dtype.str == original.dtype.str
+            assert copy.shape == original.shape
+            assert copy.tobytes() == original.tobytes()
+            assert copy.flags.writeable
+        # NaN != NaN, so compare the canonical JSON (NaN/Infinity spelled out)
+        assert json.dumps(loaded.meta, sort_keys=True) == json.dumps(meta, sort_keys=True)
+
+    def test_put_rejects_object_arrays_before_touching_disk(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        poisoned = Artifact(arrays={"x": np.array([{"a": 1}], dtype=object)})
+        with pytest.raises(ValueError):
+            cache.put(job_key("object"), poisoned)
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+    def test_legacy_npz_files_are_counted_and_swept(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.put(job_key("legacy"), Artifact(arrays={"x": np.arange(4.0)}))
+        clean_size = cache.size_bytes()
+        legacy = cache.root / "cd" / ("cd" * 32 + ".npz")
+
+        def plant():
+            legacy.parent.mkdir(exist_ok=True)
+            legacy.write_bytes(b"\0" * 1000)
+
+        plant()
+        assert cache.size_bytes() == clean_size + 1000
+        assert len(cache) == 1, "a legacy file is not a live artifact"
+        assert cache.evict(max_bytes=10**9) == 1
+        assert not legacy.exists() and len(cache) == 1
+        plant()
+        assert cache.clear() == 2, "artifact + legacy file"
+        assert not legacy.exists()
+
+    def test_bytes_counter_moves_by_the_file_size(self, tmp_path):
+        moved = obs.REGISTRY.counter("repro_cache_bytes_total", labels=("direction",))
+        read_before = moved.value(direction="read")
+        write_before = moved.value(direction="write")
+        cache = ArtifactCache(tmp_path)
+        key = job_key("bytes")
+        path = cache.put(key, Artifact(arrays={"x": np.arange(8.0)}, meta={"n": 8}))
+        size = path.stat().st_size
+        assert moved.value(direction="write") == write_before + size
+        assert moved.value(direction="read") == read_before
+        assert cache.get(key) is not None
+        assert moved.value(direction="read") == read_before + size
+        assert moved.value(direction="write") == write_before + size
 
 
 class TestCharacterizationCaching:
@@ -248,7 +405,7 @@ class TestStrayTmpFiles:
     def _plant_stale_tmp(self, cache, age_seconds=7200.0, size=2048):
         shard = cache.root / "ab"
         shard.mkdir(parents=True, exist_ok=True)
-        tmp = shard / "crashed-put.npz.tmp"
+        tmp = shard / "crashed-put.art.tmp"
         tmp.write_bytes(b"\0" * size)
         stale = time.time() - age_seconds
         os.utime(tmp, (stale, stale))
@@ -272,7 +429,7 @@ class TestStrayTmpFiles:
     def test_evict_sweeps_stale_tmp_but_not_fresh_ones(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         stale = self._plant_stale_tmp(cache)
-        fresh = cache.root / "ab" / "in-flight.npz.tmp"
+        fresh = cache.root / "ab" / "in-flight.art.tmp"
         fresh.write_bytes(b"\0" * 512)  # recent: could be an in-flight put
         cache.evict(max_bytes=10**9)
         assert not stale.exists()
@@ -280,32 +437,23 @@ class TestStrayTmpFiles:
 
     def test_failed_put_cleans_its_tmp_file(self, tmp_path, monkeypatch):
         cache = ArtifactCache(tmp_path)
-        monkeypatch.setattr(
-            np, "savez", lambda *a, **k: (_ for _ in ()).throw(OSError("disk full"))
-        )
+        _fail_artifact_writes(monkeypatch, OSError("disk full"))
         with pytest.raises(OSError):
             cache.put(job_key("fail-put"), Artifact(arrays={"x": np.arange(2.0)}))
-        assert list(cache.root.glob("*/*.npz.tmp")) == []
+        assert list(cache.root.glob("*/*.art.tmp")) == []
 
 
 class TestCacheWriteFailure:
     def test_full_disk_degrades_to_uncached_results(self, tmp_path, monkeypatch):
         """A cache write that fails with ENOSPC costs the cache its artifact,
         never the sweep its results."""
-        import errno
-
-        import repro.runtime.cache as cache_module
-        from repro import obs
         from repro.analysis.pvt_sweeps import mismatch_monte_carlo_sharded
 
         technology = tsmc65_like()
         panel = dict(samples=24, seed=11, shards=4)
         uncached = mismatch_monte_carlo_sharded(technology, engine=SweepEngine(), **panel)
 
-        def disk_full(*args, **kwargs):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(cache_module.np, "savez", disk_full)
+        _fail_artifact_writes(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
         events = obs.REGISTRY.counter("repro_cache_events_total", labels=("event",))
         errors_before = events.value(event="write_error")
         cache = ArtifactCache(tmp_path / "cache")
@@ -317,7 +465,7 @@ class TestCacheWriteFailure:
         for name, value in uncached.items():
             assert cached[name].tobytes() == value.tobytes(), name
         assert events.value(event="write_error") == errors_before + 4
-        assert list(cache.root.glob("*/*.npz.tmp")) == []
+        assert list(cache.root.glob("*/*.art.tmp")) == []
         assert len(cache) == 0
 
 

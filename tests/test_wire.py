@@ -181,6 +181,14 @@ class TestArrayCodec:
         restored = wire.unpack_arrays(specs, payload)[0]
         assert np.array_equal(restored, array)
 
+    def test_zero_dimensional_arrays_stay_zero_dimensional(self):
+        arrays = [np.array(2.5), np.array(True), np.array(7, dtype=">i8")]
+        specs, payload = wire.pack_arrays(arrays)
+        assert [spec["shape"] for spec in specs] == [[], [], []]
+        for original, copy in zip(arrays, wire.unpack_arrays(specs, payload)):
+            assert copy.shape == () and copy.dtype == original.dtype
+            assert copy.tobytes() == original.tobytes()
+
     def test_rejects_non_arrays_and_object_dtypes(self):
         with pytest.raises(wire.ProtocolError):
             wire.pack_arrays([[1, 2, 3]])
