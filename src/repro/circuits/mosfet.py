@@ -24,7 +24,8 @@ device instances at once).
 from __future__ import annotations
 
 import dataclasses
-from typing import Union
+import operator
+from typing import Optional, Union
 
 import numpy as np
 
@@ -183,15 +184,65 @@ class NmosDevice:
         return saturation_voltage(overdrive, params.alpha)
 
 
-def saturation_voltage(overdrive: ArrayLike, alpha: float) -> np.ndarray:
+def saturation_voltage(
+    overdrive: ArrayLike, alpha: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Alpha-power-law drain saturation voltage.
 
     The Sakurai-Newton model uses ``V_dsat = K_v * V_od ** (alpha / 2)``.
     ``K_v`` is chosen as 1.0 V^(1 - alpha/2) so the square-law limit
-    (``alpha == 2``) reduces to the classical ``V_dsat == V_od``.
+    (``alpha == 2``) reduces to the classical ``V_dsat == V_od``.  ``out``
+    is an optional caller-owned array for the result.
     """
-    overdrive = np.maximum(np.asarray(overdrive, dtype=float), 0.0)
-    return overdrive ** (alpha / 2.0)
+    overdrive = np.maximum(np.asarray(overdrive, dtype=float), 0.0, out=out)
+    return apply_into(np.power, overdrive, alpha / 2.0, out=out)
+
+
+_OPERATORS = {
+    np.add: operator.add,
+    np.subtract: operator.sub,
+    np.multiply: operator.mul,
+    np.divide: operator.truediv,
+    np.negative: operator.neg,
+    np.power: operator.pow,
+}
+
+
+def apply_into(ufunc: np.ufunc, *operands, out: Optional[np.ndarray]):
+    """``ufunc(*operands)``, written into ``out`` when one is given.
+
+    Without ``out`` the arithmetic ufuncs run as Python operators.  On
+    arrays that is the same ufunc; on the NumPy scalars that arithmetic on
+    0-d arrays returns it is NumPy's scalar routine, which rounds ``**``
+    differently in the last bit and propagates the other NaN of a
+    commutative pair.  So an unbuffered evaluation is exactly the operator
+    form of the equation.
+    """
+    if out is None:
+        return _OPERATORS.get(ufunc, ufunc)(*operands)
+    return ufunc(*operands, out=out)
+
+
+def select_into(condition, chosen, other, out: Optional[np.ndarray]):
+    """``np.where(condition, chosen, other)``; in place when ``out`` is given.
+
+    ``out`` must already hold ``other``: only the chosen elements are written.
+    """
+    if out is None:
+        return np.where(condition, chosen, other)
+    np.copyto(out, chosen, where=condition)
+    return out
+
+
+def parameter_shape(params: MosfetParameters) -> tuple:
+    """Broadcast shape of the array-valued fields of ``params``.
+
+    Scalar fields contribute ``()``; vectorised Monte-Carlo parameter sets
+    contribute their sample axes.
+    """
+    return np.broadcast_shapes(
+        *(np.shape(getattr(params, field.name)) for field in dataclasses.fields(params))
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,8 +252,8 @@ class GateTerms:
     A device whose gate voltage is fixed while its drain voltage varies
     (the pull-down of the discharge stack, gate tied to VDD) evaluates these
     once with :func:`gate_terms` and then calls :func:`current_from_gate_terms`
-    for every drain voltage, which saves two ``pow`` and one ``exp`` per
-    point.
+    for every drain voltage, which saves two ``pow``, one ``exp`` and the
+    gate-only masks per point.
 
     Attributes
     ----------
@@ -216,58 +267,171 @@ class GateTerms:
     saturation_scale:
         ``K * max(V_GS - V_th, 0) ** alpha``, the saturation current before
         channel-length modulation.
+    vdsat_floor:
+        ``max(vdsat, 1e-12)``, the divisor of the triode ratio.
+    no_triode_ratio:
+        ``not (vdsat > 0)``: where the triode ratio is zero (a NaN
+        ``vdsat`` included).
+    conducting:
+        ``overdrive > 0``: where the strong-inversion current flows.
     """
 
     overdrive: np.ndarray
     subthreshold_scale: np.ndarray
     vdsat: np.ndarray
     saturation_scale: np.ndarray
+    vdsat_floor: np.ndarray
+    no_triode_ratio: np.ndarray
+    conducting: np.ndarray
+
+    @classmethod
+    def empty(cls, shape: Optional[tuple]) -> "GateTerms":
+        """Uninitialised buffers of ``shape`` for :func:`gate_terms`.
+
+        ``None`` gives no buffers: every operation then returns a new
+        result, as :func:`gate_terms` does without ``out``.
+        """
+        floats = [None if shape is None else np.empty(shape) for _ in range(5)]
+        masks = [None if shape is None else np.empty(shape, dtype=bool) for _ in range(2)]
+        return cls(*floats, *masks)
 
 
-def gate_terms(params: MosfetParameters, vgs: ArrayLike) -> GateTerms:
-    """Evaluate the gate-only terms of the I-V equation at ``vgs``."""
-    overdrive = np.asarray(vgs, dtype=float) - params.threshold_voltage
+@dataclasses.dataclass(frozen=True)
+class DrainBuffers:
+    """Work arrays for :func:`current_from_gate_terms`.
+
+    Attributes
+    ----------
+    vds:
+        The drain voltage clipped at 0 V.
+    current:
+        The sub-threshold current, then the returned drain current.
+    saturation:
+        The saturation current with channel-length modulation.
+    ratio:
+        The triode ratio ``vds / vdsat`` (clamped to 1).
+    strong:
+        The triode current, then the strong-inversion current.
+    in_saturation:
+        ``vds >= vdsat``.
+    """
+
+    vds: np.ndarray
+    current: np.ndarray
+    saturation: np.ndarray
+    ratio: np.ndarray
+    strong: np.ndarray
+    in_saturation: np.ndarray
+
+    @classmethod
+    def empty(cls, shape: Optional[tuple]) -> "DrainBuffers":
+        """Uninitialised buffers of ``shape`` for :func:`current_from_gate_terms`.
+
+        ``None`` gives no buffers, as for :meth:`GateTerms.empty`.
+        """
+        floats = [None if shape is None else np.empty(shape) for _ in range(5)]
+        return cls(*floats, None if shape is None else np.empty(shape, dtype=bool))
+
+
+def gate_terms(
+    params: MosfetParameters, vgs: ArrayLike, out: Optional[GateTerms] = None
+) -> GateTerms:
+    """Evaluate the gate-only terms of the I-V equation at ``vgs``.
+
+    ``out`` holds caller-owned buffers of the broadcast shape of ``vgs`` and
+    ``params`` (see :meth:`GateTerms.empty`); the terms are computed in
+    place and ``vgs`` may be ``out.overdrive`` itself.
+    """
+    if out is None:
+        out = GateTerms.empty(None)
+    vgs = np.asarray(vgs, dtype=float)
+    overdrive = apply_into(np.subtract, vgs, params.threshold_voltage, out=out.overdrive)
     n_factor = params.subthreshold_swing / (np.log(10.0) * params.thermal_voltage)
-    sub_exponent = np.clip(
-        np.minimum(overdrive, 0.0) / (n_factor * params.thermal_voltage), -80.0, 0.0
+    sub_exponent = np.minimum(overdrive, 0.0, out=out.subthreshold_scale)
+    sub_exponent = apply_into(
+        np.divide, sub_exponent, n_factor * params.thermal_voltage,
+        out=out.subthreshold_scale,
     )
-    overdrive_pos = np.maximum(overdrive, 0.0)
+    sub_exponent = np.clip(sub_exponent, -80.0, 0.0, out=out.subthreshold_scale)
+    subthreshold_scale = apply_into(
+        np.multiply,
+        params.leak_current,
+        np.exp(sub_exponent, out=out.subthreshold_scale),
+        out=out.subthreshold_scale,
+    )
+
+    overdrive_pos = np.maximum(overdrive, 0.0, out=out.saturation_scale)
+    vdsat = saturation_voltage(overdrive_pos, params.alpha, out=out.vdsat)
+    saturation_scale = apply_into(
+        np.multiply,
+        params.gain,
+        apply_into(np.power, overdrive_pos, params.alpha, out=out.saturation_scale),
+        out=out.saturation_scale,
+    )
+    no_triode_ratio = np.greater(vdsat, 0.0, out=out.no_triode_ratio)
     return GateTerms(
         overdrive=overdrive,
-        subthreshold_scale=params.leak_current * np.exp(sub_exponent),
-        vdsat=saturation_voltage(overdrive_pos, params.alpha),
-        saturation_scale=params.gain * overdrive_pos**params.alpha,
+        subthreshold_scale=subthreshold_scale,
+        vdsat=vdsat,
+        saturation_scale=saturation_scale,
+        vdsat_floor=np.maximum(vdsat, 1e-12, out=out.vdsat_floor),
+        no_triode_ratio=np.logical_not(no_triode_ratio, out=out.no_triode_ratio),
+        conducting=np.greater(overdrive, 0.0, out=out.conducting),
     )
 
 
 def current_from_gate_terms(
-    params: MosfetParameters, gate: GateTerms, vds: ArrayLike
+    params: MosfetParameters,
+    gate: GateTerms,
+    vds: ArrayLike,
+    out: Optional[DrainBuffers] = None,
 ) -> np.ndarray:
     """Finish the I-V equation for precomputed ``gate`` terms at ``vds``.
 
     The products keep the left-to-right order of the full equation, so
     ``current_from_gate_terms(p, gate_terms(p, vgs), vds)`` is bit-identical
-    to evaluating it in one piece.
+    to evaluating it in one piece.  ``out`` holds caller-owned buffers of
+    the broadcast shape of ``vds``, ``gate`` and ``params`` (see
+    :meth:`DrainBuffers.empty`); the current is computed in place, returned
+    as ``out.current``, and ``vds`` may be ``out.vds`` itself.  Call under
+    ``np.errstate(divide="ignore", invalid="ignore")``, as
+    :func:`drain_current_from_parameters` does: the triode ratio divides by
+    a ``vdsat`` that may be infinite or NaN.
     """
-    vds_clipped = np.maximum(np.asarray(vds, dtype=float), 0.0)
+    if out is None:
+        out = DrainBuffers.empty(None)
+    vds_clipped = np.maximum(np.asarray(vds, dtype=float), 0.0, out=out.vds)
 
     # --- sub-threshold component -------------------------------------
-    i_sub = gate.subthreshold_scale * (
-        1.0 - np.exp(-vds_clipped / params.thermal_voltage)
+    drain_factor = apply_into(
+        np.divide,
+        apply_into(np.negative, vds_clipped, out=out.current),
+        params.thermal_voltage,
+        out=out.current,
     )
+    drain_factor = apply_into(
+        np.subtract, 1.0, np.exp(drain_factor, out=out.current), out=out.current
+    )
+    i_sub = apply_into(np.multiply, gate.subthreshold_scale, drain_factor, out=out.current)
 
     # --- strong-inversion component ----------------------------------
-    vdsat = gate.vdsat
-    i_sat = gate.saturation_scale * (
-        1.0 + params.channel_length_modulation * vds_clipped
+    i_sat = apply_into(
+        np.multiply, params.channel_length_modulation, vds_clipped, out=out.saturation
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(vdsat > 0.0, np.minimum(vds_clipped / np.maximum(vdsat, 1e-12), 1.0), 0.0)
-    i_triode = i_sat * (2.0 - ratio) * ratio
-    i_strong = np.where(vds_clipped >= vdsat, i_sat, i_triode)
+    i_sat = apply_into(np.add, 1.0, i_sat, out=out.saturation)
+    i_sat = apply_into(np.multiply, gate.saturation_scale, i_sat, out=out.saturation)
+    ratio = apply_into(np.divide, vds_clipped, gate.vdsat_floor, out=out.ratio)
+    ratio = np.minimum(ratio, 1.0, out=out.ratio)
+    ratio = select_into(gate.no_triode_ratio, 0.0, ratio, out=out.ratio)
+    i_triode = apply_into(np.subtract, 2.0, ratio, out=out.strong)
+    i_triode = apply_into(np.multiply, i_sat, i_triode, out=out.strong)
+    i_triode = apply_into(np.multiply, i_triode, ratio, out=out.strong)
+    in_saturation = np.greater_equal(vds_clipped, gate.vdsat, out=out.in_saturation)
+    i_strong = select_into(in_saturation, i_sat, i_triode, out=out.strong)
 
-    current = np.where(gate.overdrive > 0.0, i_strong + i_sub, i_sub)
-    return np.maximum(current, 0.0)
+    i_both = apply_into(np.add, i_strong, i_sub, out=out.strong)
+    current = select_into(gate.conducting, i_both, i_sub, out=out.current)
+    return np.maximum(current, 0.0, out=out.current)
 
 
 def drain_current_from_parameters(
@@ -281,15 +445,17 @@ def drain_current_from_parameters(
     (scalar) parameter extraction out of its inner integration loop.  The
     equation is evaluated in two halves on the broadcast ``vgs``/``vds``
     pair: :func:`gate_terms` (overdrive, ``I_leak * exp(sub_exponent)``,
-    ``V_dsat`` and ``K * overdrive ** alpha``), then
+    ``V_dsat``, ``K * overdrive ** alpha`` and the gate-only masks), then
     :func:`current_from_gate_terms` (drain saturation factor, channel-length
     modulation, triode blending).  A caller whose gate voltage is fixed calls
-    the two halves itself and evaluates the gate terms once.
+    the two halves itself and evaluates the gate terms once; a caller that
+    evaluates the equation repeatedly passes its own buffers to both.
     """
     vgs = np.asarray(vgs, dtype=float)
     vds = np.asarray(vds, dtype=float)
     vgs, vds = np.broadcast_arrays(vgs, vds)
-    return current_from_gate_terms(params, gate_terms(params, vgs), vds)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return current_from_gate_terms(params, gate_terms(params, vgs), vds)
 
 
 def access_device(technology: TechnologyCard, **mismatch: float) -> NmosDevice:

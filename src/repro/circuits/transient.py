@@ -13,9 +13,13 @@ dependence) shows up in the produced waveforms.
 Because the word-line voltage is constant during one discharge window, the
 node equation is autonomous in the bit-line voltage.  The solver therefore
 tabulates the stack current over a dense bit-line-voltage grid once per run
-(one vectorised series-stack solve, with the pull-down's gate terms
-evaluated once outside the bisection) and interpolates that table inside
-the RK4 loop.  The table is kept flat, row after row, next to its per-cell
+and interpolates that table inside the RK4 loop.  The table is one
+series-stack solve: a bisection over row blocks of the ``(traces, grid)``
+table, small enough that a block's working arrays stay in cache, with the
+arrays allocated once per call and updated in place on every step and the
+pull-down's gate terms evaluated once per block (see
+:meth:`~repro.circuits.sram_cell.DischargeStack.current`).  Its peak
+memory is a small multiple of the table itself.  The table is kept flat, row after row, next to its per-cell
 slope ``table[k + 1] - table[k]``, so each RK4 stage interpolates every
 trace with one flat gather from each array.  Reading a waveform at a
 sampling instant locates the time-grid cell once for all traces.  This
@@ -222,7 +226,7 @@ class TransientSolver:
             v_wl = np.broadcast_to(wordline_voltage, shape)[..., np.newaxis]
             v_bl = np.broadcast_to(v_grid, shape + (grid,))
             table = grid_stack.current(v_bl, v_wl)
-        return v_grid, np.maximum(table, 0.0)
+        return v_grid, np.maximum(table, 0.0, out=table)
 
     @staticmethod
     def _flatten_table(table: np.ndarray) -> tuple:

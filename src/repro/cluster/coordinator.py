@@ -100,6 +100,7 @@ _STAT_HELP = {
     "workers_lost": "Workers declared dead.",
     "duplicate_results": "Duplicate chunk results discarded.",
     "scheduler_errors": "Scheduler/reaper iterations that raised.",
+    "watch_dropped": "Events dropped from slow watch subscribers (oldest first).",
 }
 
 #: Help strings of the multi-tenant scheduler counters (:mod:`repro.sched`);
@@ -1222,7 +1223,8 @@ class Coordinator:
         The bus delivers synchronously on whatever thread emitted, so a
         subscriber bridges onto the coordinator loop and into a bounded
         queue; a slow watcher drops its *oldest* frames (live views want
-        the present, not a complete history) and can never stall the
+        the present, not a complete history; counted in
+        ``repro_cluster_watch_dropped_total``) and can never stall the
         coordinator.  Returns the cleanup closure the connection handler
         runs on disconnect.
         """
@@ -1230,15 +1232,9 @@ class Coordinator:
         queue: "asyncio.Queue[Dict[str, Any]]" = asyncio.Queue(maxsize=1024)
 
         def enqueue(event: Dict[str, Any]) -> None:
-            while True:
-                try:
-                    queue.put_nowait(event)
-                    return
-                except asyncio.QueueFull:
-                    try:
-                        queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        pass
+            dropped = obs.put_drop_oldest(queue, event)
+            if dropped:
+                self.stats.inc("watch_dropped", dropped)
 
         def bridge(event: Dict[str, Any]) -> None:
             loop.call_soon_threadsafe(enqueue, event)

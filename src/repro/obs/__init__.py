@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.obs.events import EVENT_TYPES, EVENTS, EventBus
+from repro.obs.events import EVENT_TYPES, EVENTS, EventBus, put_drop_oldest
 from repro.obs.http import CONTENT_TYPE, MetricsServer
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -69,6 +69,7 @@ __all__ = [
     "gauge",
     "histogram",
     "parse_exposition",
+    "put_drop_oldest",
 ]
 
 

@@ -38,13 +38,14 @@ ValueError: unknown event type 'not_a_thing'
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import REGISTRY
 
-__all__ = ["EVENT_TYPES", "EventBus", "EVENTS"]
+__all__ = ["EVENT_TYPES", "EventBus", "EVENTS", "put_drop_oldest"]
 
 #: Every event type any tier may emit; ``emit`` rejects anything else so
 #: the documented vocabulary (docs/observability.md) cannot drift.
@@ -148,3 +149,31 @@ class EventBus:
 
 #: The process-wide bus every tier emits on (and ``watch`` streams from).
 EVENTS = EventBus()
+
+
+def put_drop_oldest(queue: "asyncio.Queue", item: Any) -> int:
+    """Enqueue ``item``, evicting the oldest entries on overflow.
+
+    Returns the number of entries evicted, which the caller counts (the
+    service as ``repro_service_watch_dropped_total``, the coordinator as
+    ``repro_cluster_watch_dropped_total``).  Live streams (watch
+    subscribers, cancel wake-ups) prefer losing history to stalling the
+    event loop or raising ``QueueFull``.
+
+    >>> queue = asyncio.Queue(maxsize=2)
+    >>> [put_drop_oldest(queue, item) for item in "abc"]
+    [0, 0, 1]
+    >>> queue.get_nowait(), queue.get_nowait()
+    ('b', 'c')
+    """
+    dropped = 0
+    while True:
+        try:
+            queue.put_nowait(item)
+            return dropped
+        except asyncio.QueueFull:
+            try:
+                queue.get_nowait()
+                dropped += 1
+            except asyncio.QueueEmpty:
+                pass

@@ -110,23 +110,6 @@ _COUNTERS = {
 }
 
 
-def _put_drop_oldest(queue: "asyncio.Queue", item: Any) -> int:
-    """Enqueue, evicting the oldest entries on overflow; returns the count
-    evicted.  Live streams (watch subscribers, cancel wake-ups) prefer
-    losing history to stalling the event loop or raising ``QueueFull``."""
-    dropped = 0
-    while True:
-        try:
-            queue.put_nowait(item)
-            return dropped
-        except asyncio.QueueFull:
-            try:
-                queue.get_nowait()
-                dropped += 1
-            except asyncio.QueueEmpty:
-                pass
-
-
 class _TokenBucket:
     """Classic token bucket: ``rate`` tokens/second, ``burst`` capacity."""
 
@@ -167,7 +150,7 @@ class _PendingRequest:
         if self.queue is not None:
             # Drop-oldest: a bounded queue (watch streams) must accept the
             # wake-up sentinel even when full.
-            _put_drop_oldest(self.queue, _CANCELLED)
+            obs.put_drop_oldest(self.queue, _CANCELLED)
 
 
 async def _send_result(
@@ -747,7 +730,7 @@ class SweepService:
         self._watch_entries.add(entry)
 
         def enqueue(event: Dict[str, Any]) -> None:
-            dropped = _put_drop_oldest(queue, event)
+            dropped = obs.put_drop_oldest(queue, event)
             if dropped:
                 self._counters.inc("watch_dropped", dropped)
 

@@ -476,3 +476,100 @@ class TestServiceObservability:
         finished = [e for e in mine if e["type"] == "run_finished"]
         assert finished and finished[0]["jobs"] == 5
         assert any(e["type"] == "run_result" for e in mine)
+
+
+# ----------------------------------------------------------------------
+# Slow watchers: both tiers drop the oldest frames and count every drop
+# ----------------------------------------------------------------------
+WATCH_QUEUE = 1024  # per-watcher queue bound in the service and coordinator
+BURST = WATCH_QUEUE + 76
+
+
+def _emit_burst() -> None:
+    """Emit ``BURST`` events in one synchronous run on the serving loop.
+
+    Every bridge callback is queued before the watcher's pump can run, so
+    the watcher's queue fills and exactly ``BURST - WATCH_QUEUE`` of the
+    oldest frames are dropped.
+    """
+    for index in range(BURST):
+        obs.EVENTS.emit("run_started", trace="watch-burst", jobs=index)
+
+
+class TestWatchDrops:
+    def test_put_drop_oldest_counts_evictions(self):
+        queue = asyncio.Queue(maxsize=3)
+        assert [obs.put_drop_oldest(queue, item) for item in range(5)] == [0, 0, 0, 1, 1]
+        assert [queue.get_nowait() for _ in range(3)] == [2, 3, 4]
+
+    def test_service_counts_dropped_watch_frames(self):
+        counter = obs.counter("repro_service_watch_dropped_total")
+        before = counter.value()
+
+        async def scenario():
+            async with running_service(SweepEngine()) as service:
+                host, port = service.address
+                async with ServiceClient(host, port) as watcher:
+                    received = []
+
+                    async def consume():
+                        async for event in watcher.watch():
+                            if event.get("trace") == "watch-burst":
+                                received.append(event["jobs"])
+                                if event["jobs"] == BURST - 1:
+                                    return
+
+                    task = asyncio.create_task(consume())
+                    while not service._watch_entries:  # subscription is live
+                        await asyncio.sleep(0.01)
+                    _emit_burst()
+                    await asyncio.wait_for(task, TIMEOUT)
+                    return service._counters["watch_dropped"], received
+
+        dropped, received = run(scenario())
+        assert dropped == BURST - WATCH_QUEUE
+        assert counter.value() - before == BURST - WATCH_QUEUE
+        # drop-oldest: the watcher sees the newest WATCH_QUEUE events in order
+        assert received == list(range(BURST - WATCH_QUEUE, BURST))
+
+    def test_coordinator_counts_dropped_watch_frames(self):
+        from repro import wire
+        from repro.cluster.coordinator import Coordinator
+
+        counter = obs.counter("repro_cluster_watch_dropped_total")
+        before = counter.value()
+
+        async def scenario():
+            coordinator = Coordinator()
+            host, port = await coordinator.start()
+            reader, writer = await wire.open_connection(host, port, timeout=TIMEOUT)
+            try:
+                writer.write(wire.encode_message({"op": "watch", "id": "w"}))
+                await writer.drain()
+                ack = await wire.read_message(reader)
+                assert ack["event"] == "watching"
+                while not coordinator._watch_tasks:  # subscription is live
+                    await asyncio.sleep(0.01)
+                _emit_burst()
+                received = []
+                while not received or received[-1] != BURST - 1:
+                    message = await wire.read_message(reader)
+                    data = message.get("data") or {}
+                    if data.get("trace") == "watch-burst":
+                        received.append(data["jobs"])
+                writer.write(wire.encode_message({"op": "status", "id": "s"}))
+                await writer.drain()
+                while True:
+                    message = await wire.read_message(reader)
+                    if message.get("event") == "status":
+                        break
+                return coordinator.stats["watch_dropped"], message["stats"], received
+            finally:
+                writer.close()
+                await coordinator.stop()
+
+        dropped, status_stats, received = run(scenario())
+        assert dropped == BURST - WATCH_QUEUE
+        assert status_stats["watch_dropped"] == BURST - WATCH_QUEUE
+        assert counter.value() - before == BURST - WATCH_QUEUE
+        assert received == list(range(BURST - WATCH_QUEUE, BURST))

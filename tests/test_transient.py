@@ -1,5 +1,7 @@
 """Unit tests for the reference transient discharge solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.circuits.conditions import OperatingConditions
 from repro.circuits.mismatch import MismatchArrays, MismatchParameters, MismatchSampler
+from repro.circuits.sram_cell import _BLOCK_ROWS, CellState, SramCell
 from repro.circuits.technology import ProcessCorner, tsmc65_like
 from repro.circuits.transient import TransientSolver
 
@@ -373,3 +376,124 @@ class TestAgainstOracle:
             for v in voltage
         ])
         assert fast.tobytes() == slow.tobytes()
+
+
+# ----------------------------------------------------------------------
+# The row-blocked stack bisection against the unhoisted oracle
+# ----------------------------------------------------------------------
+_SPECIAL_VOLTAGES = (np.nan, np.inf, -np.inf, -0.25, -0.0, 0.0)
+
+
+def _assert_stack_current_matches_oracle(stack, v_bl, v_wl):
+    fast = stack.current(v_bl, v_wl)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN / inf inputs
+        slow = _oracle_stack_current(stack, v_bl, v_wl)
+    assert np.shape(fast) == np.shape(slow)
+    assert type(fast) is type(slow)
+    assert np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
+
+
+def _grid_stack(solver, conditions, rows, seed):
+    """A stack whose parameters vary per row (shape ``(rows, 1)``)."""
+    mismatch = MismatchSampler(_MISMATCH_PARAMETERS, seed=seed).sample_arrays(rows)
+    return solver._expand_stack_for_grid(solver._build_stack(conditions, mismatch))
+
+
+def _voltages_with_specials(rng, shape, low=-0.2, high=1.3):
+    """Uniform voltages with NaN, +-inf, negative and signed zeros mixed in."""
+    values = rng.uniform(low, high, size=shape)
+    specials = rng.random(shape) < 0.15
+    values[specials] = rng.choice(_SPECIAL_VOLTAGES, size=int(specials.sum()))
+    return values
+
+
+class TestBlockedBisection:
+    """``DischargeStack.current`` solves the table in row blocks with
+    in-place buffers; every element must still come out byte-identical to
+    the per-step, whole-table oracle bisection."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3],
+    )
+    def test_row_counts_around_the_block_size(self, solver, nominal_conditions, rows):
+        rng = np.random.default_rng(rows)
+        stack = _grid_stack(solver, nominal_conditions, rows, seed=rows)
+        v_bl = np.linspace(1.1, -0.1, 129)
+        v_bl[[3, 40, 77, 128]] = (np.nan, np.inf, -np.inf, -0.3)
+        v_wl = _voltages_with_specials(rng, (rows, 1), 0.0, 1.2)
+        _assert_stack_current_matches_oracle(stack, np.broadcast_to(v_bl, (rows, 129)), v_wl)
+        # without mismatch: the rows come from the word-line axis alone
+        plain = solver._build_stack(nominal_conditions, None)
+        _assert_stack_current_matches_oracle(plain, v_bl, v_wl)
+
+    def test_nested_leading_axes_with_per_row_mismatch(self, solver, nominal_conditions):
+        """The characterisation layout: ``(n_wl, samples, grid)`` with the
+        mismatch on the sample axis, so blocks straddle word-line rows."""
+        samples = _BLOCK_ROWS // 2 + 5
+        stack = _grid_stack(solver, nominal_conditions, samples, seed=5)
+        v_bl = np.broadcast_to(np.linspace(1.0, 0.0, 129), (3, samples, 129))
+        v_wl = np.array([0.35, 0.8, 1.15])[:, np.newaxis, np.newaxis]
+        _assert_stack_current_matches_oracle(stack, v_bl, v_wl)
+
+    @pytest.mark.parametrize("v_bl", (0.7, 1.3) + _SPECIAL_VOLTAGES)
+    @pytest.mark.parametrize("v_wl", (0.0, 0.45, 0.9, np.nan, np.inf))
+    def test_zero_dimensional_inputs(self, technology, nominal_conditions, v_bl, v_wl):
+        cell = SramCell(technology, CellState.ONE)
+        stack = cell.discharge_stack(nominal_conditions)
+        _assert_stack_current_matches_oracle(stack, v_bl, v_wl)
+        _assert_stack_current_matches_oracle(stack, np.asarray(v_bl), np.asarray(v_wl))
+
+    def test_one_dimensional_inputs(self, technology, nominal_conditions):
+        stack = SramCell(technology, CellState.ONE).discharge_stack(nominal_conditions)
+        v_bl = np.array((1.0, 0.5, 0.05) + _SPECIAL_VOLTAGES)
+        _assert_stack_current_matches_oracle(stack, v_bl, 0.9)
+        _assert_stack_current_matches_oracle(stack, 0.6, np.linspace(0.0, 1.2, 7))
+        _assert_stack_current_matches_oracle(stack, v_bl, v_bl[::-1].copy())
+        _assert_stack_current_matches_oracle(stack, v_bl[:1], 0.9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.sampled_from(["scalar", "vector", "rows", "nested"]),
+        rows=st.integers(0, 2 * _BLOCK_ROWS + 3),
+        outer=st.integers(1, 3),
+        grid=st.integers(0, 9),
+        mismatch=st.booleans(),
+        wordline_per_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_shapes_match_oracle(
+        self, solver, nominal_conditions, layout, rows, outer, grid, mismatch,
+        wordline_per_row, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        if layout in ("scalar", "vector"):
+            stack = solver._build_stack(nominal_conditions, None)
+            shape = () if layout == "scalar" else (grid,)
+            v_wl = _voltages_with_specials(rng, shape if wordline_per_row else (), 0.0, 1.2)
+        else:
+            shape = (rows, grid) if layout == "rows" else (outer, rows, grid)
+            if mismatch:
+                stack = _grid_stack(solver, nominal_conditions, rows, seed=seed)
+            else:
+                stack = solver._build_stack(nominal_conditions, None)
+            wl_shape = shape[:-1] + (1,) if wordline_per_row else (1,) * len(shape)
+            v_wl = _voltages_with_specials(rng, wl_shape, 0.0, 1.2)
+        v_bl = _voltages_with_specials(rng, shape)
+        _assert_stack_current_matches_oracle(stack, v_bl, v_wl)
+
+    def test_peak_memory_stays_near_the_output(self, solver, nominal_conditions):
+        """Calibration's largest table, ``(6, 250, 129)``: row blocks keep
+        the working set small, so the peak traced allocation is a small
+        multiple of the output instead of dozens of table-sized temporaries."""
+        stack = _grid_stack(solver, nominal_conditions, 250, seed=9)
+        v_bl = np.broadcast_to(np.linspace(1.0, 0.0, 129), (6, 250, 129))
+        v_wl = np.linspace(0.3, 1.0, 6)[:, np.newaxis, np.newaxis]
+        tracemalloc.start()
+        try:
+            table = stack.current(v_bl, v_wl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (6, 250, 129)
+        assert peak < 3 * table.nbytes, f"peak {peak} B for a {table.nbytes} B table"
