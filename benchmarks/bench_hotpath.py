@@ -1,7 +1,8 @@
 """Hot-path benchmark: per-sample loop vs seeded Monte-Carlo blocks.
 
 A PVT Monte-Carlo sweep runs in blocks of ``MC_BLOCK`` samples: one job,
-one generator, one ``standard_normal`` draw and one reduction per block
+one generator and one ``standard_normal`` draw per block, covering only
+the bit lines whose stored bit is 1
 (:func:`repro.core.pvt.monte_carlo_error_distribution`).  This benchmark
 measures that path against the per-sample work it replaces, on the same
 fitted OPTIMA suite:

@@ -101,6 +101,11 @@ _JOBS_DONE = obs.counter(
 _CHUNK_SECONDS = obs.histogram(
     "repro_worker_chunk_seconds", "Wall time of chunks executed by this worker."
 )
+_SHM_FALLBACKS = obs.counter(
+    "repro_cluster_shm_fallback_total",
+    "Array results sent as a socket frame because no shared-memory segment "
+    "could be created.",
+)
 
 
 class ChunkProgress:
@@ -284,7 +289,8 @@ class Worker:
                         create=True, size=max(len(payload), 1)
                     )
                 except OSError:
-                    pass  # no usable /dev/shm: the socket frame below works
+                    # no usable /dev/shm: the socket frame below works
+                    _SHM_FALLBACKS.inc()
                 else:
                     segment.buf[: len(payload)] = payload
                     self._shm_segments[segment.name] = segment

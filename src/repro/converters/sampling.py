@@ -49,14 +49,31 @@ class ChargeSharingCombiner:
     def combine(self, voltages: ArrayLike) -> np.ndarray:
         """Combined node voltage after shorting all sampling capacitors.
 
-        ``voltages`` must have the branch dimension as its last axis.
+        ``voltages`` must have the branch dimension as its last axis.  The
+        branch slices are summed left to right and the sum is divided by
+        ``branches``.  NumPy reduces fewer than 8 elements in that same
+        order, so this is ``mean(axis=-1)`` bit for bit (result type
+        included) without a reduction over a short axis; from 8 branches
+        on, ``mean`` itself keeps its pairwise order.
+
+        >>> combiner = ChargeSharingCombiner(branches=4)
+        >>> float(combiner.combine([0.1, 0.2, 0.0, 0.5]))  # (0.1 + 0.2 + 0.0 + 0.5) / 4
+        0.2
+        >>> combiner.combine([[0.0, 0.0, 0.0, 0.4], [0.4, 0.4, 0.4, 0.4]])
+        array([0.1, 0.4])
         """
         voltages = np.asarray(voltages, dtype=float)
         if voltages.shape[-1] != self.branches:
             raise ValueError(
                 f"expected {self.branches} branch voltages, got {voltages.shape[-1]}"
             )
-        return voltages.mean(axis=-1)
+        if self.branches >= 8:
+            return voltages.mean(axis=-1)
+        total = voltages[..., 0] + 0.0  # the reduction's identity: -0.0 sums to +0.0
+        for branch in range(1, self.branches):
+            total += voltages[..., branch]
+        total /= self.branches
+        return total if total.ndim else total[()]
 
     def combine_discharges(self, discharges: ArrayLike) -> np.ndarray:
         """Combined discharge (same averaging, expressed as a swing)."""

@@ -15,6 +15,7 @@ benchmarks and examples share.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from typing import Dict, Optional, Tuple
 
 from repro.circuits.technology import TechnologyCard
@@ -81,6 +82,9 @@ def calibrate(
 # Shared cache
 # ----------------------------------------------------------------------
 _CACHE: Dict[Tuple[TechnologyCard, CharacterizationPlan, ModelDegrees], CalibrationResult] = {}
+#: Held only on a miss, so threads that miss the same cold card calibrate
+#: it once; hits never take it.
+_MISS_LOCK = threading.Lock()
 
 
 def calibrated_suite(
@@ -101,13 +105,21 @@ def calibrated_suite(
     ``engine`` with an attached :class:`repro.runtime.ArtifactCache`
     persists the characterisation sweeps on disk, so even a *fresh
     process* skips the reference solver.
+
+    Misses are single-flight: threads that miss the same cold card wait
+    for one calibration and all return its result (distinct cold cards
+    calibrate one after another); hits take no lock.
     """
     plan = plan or CharacterizationPlan()
     degrees = degrees or ModelDegrees()
     key = (technology, plan, degrees)
-    if key not in _CACHE:
-        _CACHE[key] = calibrate(technology, plan, degrees, engine=engine)
-    return _CACHE[key]
+    result = _CACHE.get(key)
+    if result is None:
+        with _MISS_LOCK:
+            result = _CACHE.get(key)
+            if result is None:
+                result = _CACHE[key] = calibrate(technology, plan, degrees, engine=engine)
+    return result
 
 
 def clear_calibration_cache() -> None:

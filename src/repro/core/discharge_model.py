@@ -170,7 +170,8 @@ class DischargeModel:
         With ``count``, the result gains a leading axis of ``count``
         independent samples: the mean and sigma are evaluated once and the
         perturbations come from one ``rng.standard_normal`` draw, so a
-        block of Monte-Carlo samples costs one pass, not ``count``.
+        block of Monte-Carlo samples costs one pass, not ``count``.  The
+        value is ``mean + z * sigma``, formed in place on the draw buffer.
         """
         mean = self.bitline_voltage(
             time, wordline_voltage, vdd=vdd, temperature=temperature, stored_bit=stored_bit
@@ -180,7 +181,10 @@ class DischargeModel:
             return np.broadcast_to(mean, size).copy()
         sigma = self.mismatch_sigma(time, wordline_voltage)
         sigma = np.broadcast_to(sigma, np.shape(mean))
-        return mean + rng.standard_normal(size) * sigma
+        voltage = rng.standard_normal(size)
+        np.multiply(voltage, sigma, out=voltage)
+        np.add(mean, voltage, out=voltage)
+        return voltage if voltage.ndim else voltage[()]
 
     def sample_discharge(
         self,
@@ -203,7 +207,11 @@ class DischargeModel:
             stored_bit=stored_bit,
             count=count,
         )
-        return np.maximum(np.asarray(vdd_value, dtype=float) - voltage, 0.0)
+        if not np.ndim(voltage):
+            return np.maximum(np.asarray(vdd_value, dtype=float) - voltage, 0.0)
+        # ``voltage`` is a fresh array of the full broadcast shape: reuse it.
+        np.subtract(np.asarray(vdd_value, dtype=float), voltage, out=voltage)
+        return np.maximum(voltage, 0.0, out=voltage)
 
     # ------------------------------------------------------------------
     # Serialisation

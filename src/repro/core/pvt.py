@@ -13,7 +13,9 @@ milliseconds instead of the hours a transistor-level corner sweep costs.
 
 The mismatch Monte-Carlo of the mean error
 (:func:`monte_carlo_error_distribution`) runs in seeded blocks of
-:data:`MC_BLOCK` samples, one engine job per block.
+:data:`MC_BLOCK` samples, one engine job per block.  A block draws
+mismatch noise only for the bit lines that discharge (stored bit 1); a
+line storing 0 stays at the pre-charge level and needs no draw.
 """
 
 from __future__ import annotations
@@ -218,8 +220,9 @@ def analyze_corners(
 
 
 #: Monte-Carlo samples per block job.  A block is the unit of Monte-Carlo
-#: work: one job, one generator, one ``standard_normal`` draw and one
-#: reduction.  A fixed constant, so results never depend on the schedule.
+#: work: one job, one generator and one ``standard_normal`` draw of
+#: ``(count, live bit lines)`` normals.  A fixed constant, so results never
+#: depend on the schedule.
 MC_BLOCK = 64
 
 
@@ -233,8 +236,10 @@ def _monte_carlo_block(
 
     The block owns one :class:`numpy.random.SeedSequence` child and draws
     every sample's mismatch from one generator in one call
-    (:meth:`InSramMultiplier.multiply_mc_samples`).  The per-sample errors
-    are integers, so the one ``np.mean`` over the input-space axes is exact.
+    (:meth:`InSramMultiplier.multiply_mc_samples`), one normal per sample
+    and live bit line, i.e. per ``(x, d, bit)`` with ``d``'s bit set.  The
+    per-sample errors are integers, so the one ``np.mean`` over the
+    input-space axes is exact.
     """
     x_grid, d_grid = multiplier.input_space()
     expected = x_grid * d_grid

@@ -122,6 +122,13 @@ class InSramMultiplier:
         mismatch-sigma model (paper Eq. 6); without it, the deterministic
         mean behaviour is returned.  ``count`` (with ``rng``) prepends an
         axis of that many independent mismatch samples.
+
+        A bit line whose stored bit is 0 never discharges, so the stochastic
+        path draws only for the live ``(x, d, bit)`` entries: it gathers
+        their discharge times and word-line voltages, samples them in one
+        :meth:`~repro.core.model_suite.OptimaModelSuite.sample_discharge_voltage`
+        call (``(count, live)`` normals in C order) and scatters the result
+        into zeros.  An operand pair with no live line draws nothing.
         """
         conditions = conditions or self.conditions
         x = np.asarray(x, dtype=int)
@@ -133,12 +140,15 @@ class InSramMultiplier:
         v_wl = self.wordline_voltage(x)[..., np.newaxis]
         times = self._discharge_times
         if rng is None:
-            discharge = self.suite.discharge_voltage(times, v_wl, conditions)
-        else:
-            discharge = self.suite.sample_discharge_voltage(
-                times, v_wl, rng, conditions, count=count
-            )
-        return discharge * bits
+            return self.suite.discharge_voltage(times, v_wl, conditions) * bits
+        bits, v_wl, times = np.broadcast_arrays(bits, v_wl, times)
+        live = np.nonzero(bits)
+        samples = () if count is None else (count,)
+        discharges = np.zeros(samples + bits.shape)
+        discharges[(Ellipsis,) + live] = self.suite.sample_discharge_voltage(
+            times[live], v_wl[live], rng, conditions, count=count
+        )
+        return discharges
 
     def combined_discharge(
         self,
@@ -223,11 +233,13 @@ class InSramMultiplier:
         """Digital results of ``count`` mismatch samples, one NumPy pass.
 
         Shape ``(count,) + broadcast(x, d)``.  The mean discharge and the
-        mismatch sigma are evaluated once and every sample's perturbation
-        comes from one ``rng.standard_normal`` draw; charge sharing, ADC
-        quantisation and read-out are elementwise (or last-axis), so the
-        whole block is a single pass.  The draw fills its output in C order,
-        so the first ``k`` rows do not depend on ``count >= k``.
+        mismatch sigma are evaluated once, for the live bit lines only (see
+        :meth:`bitline_discharges`), and every sample's perturbation comes
+        from one ``rng.standard_normal`` draw of ``(count, live)`` normals;
+        charge sharing, ADC quantisation and read-out are elementwise (or
+        last-axis), so the whole block is a single pass.  The draw fills its
+        output in C order, so the first ``k`` rows do not depend on
+        ``count >= k``.
         """
         discharges = self.bitline_discharges(
             x, d, conditions=conditions, rng=rng, count=count

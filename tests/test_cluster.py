@@ -547,6 +547,39 @@ class TestChunkProgress:
         assert state.split(keep=0) == 0  # still answers exactly
 
 
+class TestShmFallback:
+    def test_shm_failure_is_counted_and_the_socket_frame_is_unchanged(self, monkeypatch):
+        """A worker that cannot create a shared-memory segment sends the
+        socket binary frame instead: the fallback is counted and the frame
+        is the one a worker without the handoff sends."""
+        from repro.cluster import worker as worker_module
+
+        def no_shm(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        results = [
+            np.random.default_rng(5).standard_normal(worker_module.SHM_MIN_BYTES // 8 + 3),
+            np.arange(6, dtype=np.int32).reshape(2, 3),
+        ]
+        remote = worker_module.Worker("192.0.2.7", 1)  # not loopback: no SHM offered
+        expected = remote._encode_chunk_done("chunk-1", results, "t-1")
+
+        monkeypatch.setattr(worker_module.shared_memory, "SharedMemory", no_shm)
+        local = worker_module.Worker("127.0.0.1", 1)
+        before = worker_module._SHM_FALLBACKS.value()
+        frame = local._encode_chunk_done("chunk-1", results, "t-1")
+        assert worker_module._SHM_FALLBACKS.value() == before + 1
+        assert frame == expected
+        assert not local._shm_segments
+
+        header, payload = frame.split(b"\n", 1)
+        message = wire.decode_message(header + b"\n")
+        decoded = wire.unpack_arrays(message["arrays"], payload)
+        for got, want in zip(decoded, results):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestOrphanAccounting:
     def test_partial_orphan_steal_keeps_timeout_armed(self):
         """Stealing *some* orphaned work must not disarm the abandonment

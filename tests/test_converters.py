@@ -134,6 +134,44 @@ class TestSamplingNetworks:
         with pytest.raises(ValueError):
             combiner.combine(np.ones(3))
 
+    @pytest.mark.parametrize("branches", range(1, 10))
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3), (64, 16, 16), (0,), (3, 0)])
+    def test_combine_is_mean_bit_for_bit(self, branches, shape):
+        """The left-to-right branch sum is ``mean(axis=-1)`` byte for byte,
+        result type included (a NumPy scalar for 1-d input), signed zeros
+        and infinities included."""
+        combiner = ChargeSharingCombiner(branches=branches)
+        rng = np.random.default_rng(branches * 100 + len(shape))
+        voltages = rng.standard_normal(shape + (branches,)) * rng.choice(
+            [1e-300, 1e-3, 1.0, 1e3, 1e300], size=shape + (branches,)
+        )
+        zeros = rng.random(voltages.shape) < 0.3
+        voltages[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        if voltages.size:
+            voltages[..., -1].flat[0] = -np.inf
+            voltages.reshape(-1, branches)[-1] = -0.0  # an all -0.0 row sums to +0.0
+        with np.errstate(all="ignore"):
+            want = voltages.mean(axis=-1)
+            got = combiner.combine(voltages)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_combine_sums_branches_left_to_right(self):
+        combiner = ChargeSharingCombiner(branches=4)
+        voltages = np.array([[1e16, 1.0, -1e16, 1.0]])
+        # ((1e16 + 1) - 1e16) + 1 = 1 in double precision; summed right to left it is 0
+        assert combiner.combine(voltages).tolist() == [0.25]
+        assert type(combiner.combine(voltages[0])) is np.float64
+        assert combiner.combine(list(voltages[0])) == 0.25
+
+    def test_combine_rejects_wrong_branch_count_at_any_rank(self):
+        for branches in (1, 4, 8):
+            combiner = ChargeSharingCombiner(branches=branches)
+            for shape in ((branches + 1,), (3, branches - 1 or 2), (2, 2, branches + 2)):
+                with pytest.raises(ValueError, match="branch voltages"):
+                    combiner.combine(np.ones(shape))
+
     def test_weighted_network_matches_equal_case(self):
         equal = SamplingNetwork.equal(4)
         combiner = ChargeSharingCombiner(branches=4)

@@ -44,6 +44,7 @@ DOCTEST_MODULES = [
     "repro.gateway.sse",
     "repro.gateway.artifacts",
     "repro.gateway.webhooks",
+    "repro.converters.sampling",
 ]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

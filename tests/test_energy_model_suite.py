@@ -125,5 +125,52 @@ class TestCalibrationCache:
         assert calibrated_suite(technology, plan) is unscaled
         clear_calibration_cache()
 
+    def test_concurrent_misses_on_a_cold_card_calibrate_once(self, monkeypatch):
+        """Threads that miss the same cold card share one calibration (the
+        memo is read by the service's thread pool).  More threads than
+        cores and a short switch interval make a lost race likely."""
+        import sys
+        import threading
+        import time
+
+        from repro.core import calibration
+
+        threads_count = 8
+        calls = []
+        started = threading.Barrier(threads_count)
+
+        def slow_calibrate(technology, plan, degrees, engine=None):
+            calls.append(technology)
+            time.sleep(0.2)  # long enough for every other thread to miss too
+            return object()
+
+        monkeypatch.setattr(calibration, "_CACHE", {})
+        monkeypatch.setattr(calibration, "calibrate", slow_calibrate)
+        results = [None] * threads_count
+
+        def request(slot):
+            started.wait(timeout=10.0)
+            results[slot] = calibration.calibrated_suite(tsmc65_like())
+
+        threads = [
+            threading.Thread(target=request, args=(slot,)) for slot in range(threads_count)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 1
+        assert results[0] is not None
+        assert all(result is results[0] for result in results)
+        # a hit afterwards returns the same object without calibrating
+        assert calibration.calibrated_suite(tsmc65_like()) is results[0]
+        assert len(calls) == 1
+
     def test_describe_mentions_technology(self, quick_calibration):
         assert "tsmc65-like" in quick_calibration.describe()

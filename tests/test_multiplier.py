@@ -105,6 +105,137 @@ class TestFastMultiplier:
         assert v_nom != pytest.approx(v_low, abs=1e-6)
 
 
+def _dense_formula(multiplier, x, d, noise, conditions=None):
+    """The dense stochastic formula: ``max(vdd - (mean + z*sigma), 0) * bits``.
+
+    ``noise`` holds one standard normal per ``(sample, x, d, bit)`` entry.
+    """
+    conditions = conditions or multiplier.conditions
+    model = multiplier.suite.discharge
+    bits = multiplier._weight_bits(np.asarray(d))
+    v_wl = multiplier.wordline_voltage(np.asarray(x, dtype=int))[..., np.newaxis]
+    times = multiplier._discharge_times
+    vdd = np.asarray(conditions.vdd, dtype=float)
+    mean = model.bitline_voltage(
+        times, v_wl, vdd=vdd, temperature=conditions.temperature
+    )
+    sigma = np.broadcast_to(model.mismatch_sigma(times, v_wl), np.shape(mean))
+    voltage = mean + noise * sigma
+    return np.maximum(vdd - voltage, 0.0) * bits
+
+
+def _live_oracle(multiplier, x, d, twin, count, conditions=None):
+    """The dense formula fed the live draws of ``twin``, scattered into zeros.
+
+    The kernel draws ``(count, live)`` normals in C order for the entries
+    whose weight bit is 1; every other entry's draw is 0 (its discharge is
+    zeroed by the bit anyway).
+    """
+    bits = multiplier._weight_bits(np.asarray(d))
+    shape = np.broadcast_shapes(np.shape(x) + (1,), bits.shape)
+    live = np.broadcast_to(bits, shape) == 1
+    samples = () if count is None else (count,)
+    noise = np.zeros(samples + shape)
+    noise[(Ellipsis, live)] = twin.standard_normal(samples + (int(live.sum()),))
+    return _dense_formula(multiplier, x, d, noise, conditions)
+
+
+def _block_errors(results, x, d):
+    return np.mean(np.abs(results - np.asarray(x) * np.asarray(d)), axis=(-2, -1))
+
+
+class TestLiveLineSampling:
+    """The stochastic kernel draws noise only for bit lines that discharge."""
+
+    OPERANDS = {
+        "grid": lambda m: m.input_space(),
+        "vectors": lambda m: (np.arange(16), np.array([0, 1, 15, 9, 6, 0, 3, 12] * 2)),
+        "scalars": lambda m: (12, 9),
+        "scalar-x": lambda m: (7, np.arange(16)),
+    }
+
+    @pytest.mark.parametrize("operands", sorted(OPERANDS))
+    @pytest.mark.parametrize("count", [None, 1, 64])
+    def test_bitline_discharges_match_the_dense_formula(self, multiplier, operands, count):
+        x, d = self.OPERANDS[operands](multiplier)
+        rng, twin = np.random.default_rng(41), np.random.default_rng(41)
+        got = multiplier.bitline_discharges(x, d, rng=rng, count=count)
+        want = _live_oracle(multiplier, x, d, twin, count)
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # both consumed exactly one (count, live) draw
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("operands", sorted(OPERANDS))
+    @pytest.mark.parametrize("count", [1, 64])
+    def test_mc_samples_match_the_dense_formula(self, multiplier, operands, count):
+        x, d = self.OPERANDS[operands](multiplier)
+        rng, twin = np.random.default_rng(43), np.random.default_rng(43)
+        got = multiplier.multiply_mc_samples(x, d, rng, count)
+        oracle = _live_oracle(multiplier, x, d, twin, count)
+        want = multiplier._decode_voltage(oracle.mean(axis=-1))
+        assert got.shape == want.shape == (count,) + np.broadcast_shapes(np.shape(x), np.shape(d))
+        assert got.tobytes() == want.tobytes()
+
+    def test_single_sample_multiply_matches_the_dense_formula(self, multiplier):
+        x, d = multiplier.input_space()
+        rng, twin = np.random.default_rng(47), np.random.default_rng(47)
+        got = multiplier.multiply(x, d, rng=rng)
+        want = multiplier._decode_voltage(
+            _live_oracle(multiplier, x, d, twin, None).mean(axis=-1)
+        )
+        assert got.tobytes() == want.tobytes()
+
+    def test_off_nominal_conditions(self, multiplier):
+        conditions = OperatingConditions(vdd=0.95, temperature=330.0)
+        x, d = multiplier.input_space()
+        rng, twin = np.random.default_rng(53), np.random.default_rng(53)
+        got = multiplier.bitline_discharges(x, d, conditions=conditions, rng=rng, count=3)
+        want = _live_oracle(multiplier, x, d, twin, 3, conditions)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [None, 1, 64])
+    def test_zero_weight_draws_nothing(self, multiplier, count):
+        rng = np.random.default_rng(59)
+        state = rng.bit_generator.state
+        x = np.arange(16)
+        discharges = multiplier.bitline_discharges(x, 0, rng=rng, count=count)
+        assert rng.bit_generator.state == state
+        samples = () if count is None else (count,)
+        assert discharges.shape == samples + (16, multiplier.config.bits)
+        assert not discharges.any()
+        results = multiplier.multiply_mc_samples(x, np.zeros(16, dtype=int), rng, 8)
+        assert rng.bit_generator.state == state
+        assert not results.any()
+
+    def test_error_distribution_matches_dense_draws(self, multiplier):
+        """Two-sample Kolmogorov-Smirnov test (NumPy only): per-sample mean
+        errors of the live-draw kernel vs the dense draw it replaced."""
+        x, d = multiplier.input_space()
+        samples, block = 2048, 64
+        rng = np.random.default_rng(61)
+        live = np.concatenate(
+            [_block_errors(multiplier.multiply_mc_samples(x, d, rng, block), x, d)
+             for _ in range(samples // block)]
+        )
+        rng = np.random.default_rng(67)
+        dense = []
+        for _ in range(samples // block):
+            noise = rng.standard_normal((block,) + x.shape + (multiplier.config.bits,))
+            voltages = _dense_formula(multiplier, x, d, noise).mean(axis=-1)
+            dense.append(_block_errors(multiplier._decode_voltage(voltages), x, d))
+        dense = np.concatenate(dense)
+        assert live.shape == dense.shape == (samples,)
+        grid = np.concatenate([live, dense])
+        cdf_live = np.searchsorted(np.sort(live), grid, side="right") / samples
+        cdf_dense = np.searchsorted(np.sort(dense), grid, side="right") / samples
+        statistic = float(np.max(np.abs(cdf_live - cdf_dense)))
+        critical_1pct = 1.628 * np.sqrt(2.0 / samples)
+        assert statistic < critical_1pct, (statistic, critical_1pct)
+        assert np.std(live) > 0.0
+
+
 class TestReferenceMultiplier:
     def test_agrees_with_fast_model(self, technology, suite, fom_config):
         """The OPTIMA-backed multiplier must track the circuit-level one."""
