@@ -79,7 +79,8 @@ journal — ``docs/protocol.md`` specifies the wire behaviour and
 
 The layering rule: :mod:`repro.runtime` is generic infrastructure and
 imports nothing from the modelling layers (the shared NDJSON framing both
-network tiers speak lives in :mod:`repro.wire`); the modelling layers
+network tiers speak lives in :mod:`repro.wire`, their shared control
+plane in :mod:`repro.control`); the modelling layers
 submit their sweeps *through* it and default to a serial, cache-less
 engine that reproduces the historical inline loops bit-for-bit.
 :mod:`repro.service` and :mod:`repro.cluster` sit above: they import the

@@ -28,9 +28,9 @@ Layout::
     worker.py       Worker: long-lived job runner (python -m repro worker)
     executor.py     DistributedExecutor: the make_executor("distributed")
                     strategy owning the coordinator + local worker pool
-    control.py      status/ping/watch helpers (python -m repro cluster
-                    status [--watch]); ClusterWatchView folds the live
-                    repro.obs event stream into the per-worker table
+    control.py      status/ping/watch helpers over repro.control (python -m
+                    repro cluster status [--watch]); ClusterWatchView folds
+                    the live repro.obs event stream into the per-worker table
 
 Per-worker throughput accounting lives in :mod:`repro.telemetry`; the
 scheduling policy it drives is documented in ``docs/scheduling.md``.

@@ -1,71 +1,52 @@
 """Control-plane client helpers: query a live cluster endpoint.
 
-The coordinator answers ``status`` / ``ping`` / ``watch`` ops on the same
-NDJSON port the workers use, so operational tooling needs no second
-listener.  These helpers are what ``python -m repro cluster status`` and
-the tests use; ``fetch_status`` / ``ping`` are synchronous one-shot calls
-(connect, ask, disconnect), while :func:`watch_status` keeps the
-connection open and redraws a live per-worker table from the coordinator's
-:mod:`repro.obs` event stream instead of re-polling ``status``.
+The coordinator answers the control ops ``status`` / ``ping`` / ``watch``
+/ ``cancel`` on the same NDJSON port the workers use, so operational
+tooling needs no second listener.  The connection, round trip and watch
+stream are :class:`repro.control.ControlClient`, the one client core the
+sweep service's :class:`~repro.service.ServiceClient` builds on too; this
+module adds what ``python -m repro cluster status`` needs on top of it.
+``fetch_status`` / ``ping`` are synchronous one-shot calls (connect, ask,
+disconnect) that raise :class:`ControlError` on an ``error`` reply, while
+:func:`watch_status` keeps the connection open and redraws a live
+per-worker table from the coordinator's :mod:`repro.obs` event stream
+instead of re-polling ``status``.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Awaitable, Callable, Dict, Optional
 
-from repro import wire
 from repro.cluster.worker import parse_address
+from repro.control import ControlClient, ControlError  # noqa: F401  (re-exported)
 
 
-class ControlError(RuntimeError):
-    """The coordinator rejected or failed a control request."""
+def _call(
+    connect: str, timeout: float, request: Callable[[ControlClient], Awaitable[Any]]
+) -> Any:
+    """Connect to ``connect`` (``HOST:PORT``), run one request, disconnect.
 
+    Connection failures are retried with backoff until ``timeout`` (the
+    coordinator may still be binding).
+    """
+    host, port = parse_address(connect)
 
-async def _request(
-    host: str, port: int, message: Dict[str, Any], timeout: float
-) -> Dict[str, Any]:
-    reader, writer = await wire.open_connection(host, port, timeout=timeout)
-    try:
-        writer.write(wire.encode_message(message))
-        await writer.drain()
-        reply = await wire.read_message(reader)
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    if reply is None:
-        raise ControlError("coordinator closed the connection without replying")
-    if reply.get("event") == "error":
-        raise ControlError(str(reply.get("error")))
-    return reply
+    async def _run() -> Any:
+        async with await ControlClient(host, port).connect(timeout=timeout) as client:
+            return await request(client)
+
+    return asyncio.run(asyncio.wait_for(_run(), timeout + 5.0))
 
 
 def fetch_status(connect: str, timeout: float = 5.0) -> Dict[str, Any]:
-    """Fetch the status document of the coordinator at ``connect``.
-
-    ``connect`` is a ``HOST:PORT`` endpoint; connection failures are retried
-    with backoff until ``timeout`` (the coordinator may still be binding).
-    """
-    host, port = parse_address(connect)
-    return asyncio.run(
-        asyncio.wait_for(
-            _request(host, port, {"op": "status", "id": "cli"}, timeout), timeout + 5.0
-        )
-    )
+    """Fetch the status document of the coordinator at ``connect``."""
+    return _call(connect, timeout, ControlClient.status)
 
 
 def ping(connect: str, timeout: float = 5.0) -> bool:
     """Liveness probe; ``True`` when the coordinator answers ``pong``."""
-    host, port = parse_address(connect)
-    reply = asyncio.run(
-        asyncio.wait_for(
-            _request(host, port, {"op": "ping", "id": "cli"}, timeout), timeout + 5.0
-        )
-    )
-    return reply.get("event") == "pong"
+    return _call(connect, timeout, ControlClient.ping)
 
 
 def format_status(status: Dict[str, Any]) -> str:
@@ -258,43 +239,20 @@ async def _watch(
     emit: Callable[[str], None],
     timeout: float,
 ) -> ClusterWatchView:
-    reader, writer = await wire.open_connection(host, port, timeout=timeout)
-    try:
-        # Seed and subscribe on one connection; the coordinator answers in
-        # stream order, so the status document always precedes the ack.
-        writer.write(wire.encode_message({"op": "status", "id": "watch-seed"}))
-        writer.write(wire.encode_message({"op": "watch", "id": "watch"}))
-        await writer.drain()
-        status = await asyncio.wait_for(wire.read_message(reader), timeout)
-        if status is None or status.get("event") != "status":
-            raise ControlError(f"expected a status document, got {status!r}")
-        ack = await asyncio.wait_for(wire.read_message(reader), timeout)
-        if ack is None or ack.get("event") != "watching":
-            raise ControlError(f"coordinator did not ack the watch: {ack!r}")
-        view = ClusterWatchView(status)
+    async with await ControlClient(host, port).connect(timeout=timeout) as client:
+        view = ClusterWatchView(await asyncio.wait_for(client.status(), timeout))
         emit(view.render())
-        loop = asyncio.get_running_loop()
-        deadline = None if duration is None else loop.time() + duration
-        while True:
-            remaining = None if deadline is None else deadline - loop.time()
-            if remaining is not None and remaining <= 0:
-                return view
-            try:
-                message = await asyncio.wait_for(wire.read_message(reader), remaining)
-            except asyncio.TimeoutError:
-                return view
-            if message is None:
-                return view  # coordinator shut down: the stream is over
-            if message.get("event") != "obs":
-                continue
-            if view.apply(message.get("data") or {}):
-                emit(view.render())
-    finally:
+
+        async def follow() -> None:
+            async for event in client.watch():
+                if view.apply(event):
+                    emit(view.render())
+
         try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+            await asyncio.wait_for(follow(), duration)
+        except asyncio.TimeoutError:
+            pass  # the session's duration is up
+        return view
 
 
 def watch_status(

@@ -68,9 +68,9 @@ import hashlib
 import itertools
 import time
 from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs, wire
+from repro import control, obs, wire
 from repro.cluster import protocol
 from repro.runtime.executors import CancelEvent, ProgressCallback, SweepCancelled
 from repro.runtime.jobs import Job, code_version
@@ -354,7 +354,7 @@ class _WorkerLink:
         name: str,
         pid: int,
         slots: int,
-        writer: asyncio.StreamWriter,
+        writer: wire.FrameWriter,
     ):
         self.id = worker_id
         self.name = name
@@ -368,7 +368,6 @@ class _WorkerLink:
         self.inflight: Dict[str, _Chunk] = {}
         self.chunks_done = 0
         self.jobs_done = 0
-        self._send_lock = asyncio.Lock()
 
     def queued_jobs(self) -> int:
         return sum(len(span) for span in self.queue)
@@ -379,24 +378,6 @@ class _WorkerLink:
     def load(self) -> int:
         """Jobs this worker is responsible for (queued + in flight)."""
         return self.queued_jobs() + self.inflight_jobs()
-
-    async def send(self, message: Dict[str, Any]) -> bool:
-        """Write one message; ``False`` once the peer is gone."""
-        return await self.send_bytes(wire.encode_message(message))
-
-    async def send_bytes(self, data: bytes) -> bool:
-        """Write one pre-encoded frame; ``False`` once the peer is gone."""
-        if not self.alive:
-            return False
-        async with self._send_lock:
-            if not self.alive:
-                return False
-            try:
-                self.writer.write(data)
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError, OSError):
-                return False
-        return True
 
     def info(self) -> WorkerInfo:
         return WorkerInfo(
@@ -484,7 +465,8 @@ class Coordinator:
         self._code_version = code_version()
         self._stopping = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._watch_tasks: "set[asyncio.Task]" = set()
+        # Control ops run as tasks so a watch never blocks the read loop.
+        self._control_tasks: "set[asyncio.Task]" = set()
         # Per-instance view over process-wide registry counters: ``status``
         # reports this coordinator's own counts (zero at birth) while the
         # Prometheus endpoint scrapes the process-lifetime totals.
@@ -493,6 +475,9 @@ class Coordinator:
                 key: obs.counter(f"repro_cluster_{key}_total", help_text)
                 for key, help_text in _STAT_HELP.items()
             }
+        )
+        self._control = control.ControlPlane(
+            self.status_event, obs.counter("repro_cluster_watch_dropped_total")
         )
         # Preemption counters live in their own group so the ``status``
         # document (and docs/scheduling.md) can present the multi-tenant
@@ -536,21 +521,16 @@ class Coordinator:
             await self._server.wait_closed()
         for link in list(self._links.values()):
             if link.alive:
-                await link.send(protocol.shutdown_event())
+                await link.writer.send(protocol.shutdown_event())
                 link.alive = False
-                try:
-                    link.writer.close()
-                except (ConnectionError, OSError):
-                    pass
+                link.writer.close()
         for run in list(self._runs.values()):
             run.fail(ClusterError("coordinator stopped"))
         self._runs.clear()
-        # Watch streams never end on their own; cancel them before the
-        # regular background tasks so shutdown cannot block on a watcher.
-        for task in list(self._watch_tasks):
-            task.cancel()
-        await asyncio.gather(*self._watch_tasks, return_exceptions=True)
-        self._watch_tasks.clear()
+        # Watch streams never end on their own: end them (each answers
+        # `cancelled`) before the regular background tasks.
+        self._control.stop()
+        await asyncio.gather(*self._control_tasks, return_exceptions=True)
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
@@ -677,7 +657,7 @@ class Coordinator:
                 # revoked chunk contributes no throughput sample.
                 self.telemetry.chunk_settled(link.id, time.monotonic())
                 self.stats.inc("chunks_cancelled")
-                await link.send(protocol.cancel_event(chunk_id))
+                await link.writer.send(protocol.cancel_event(chunk_id))
         run.fail(SweepCancelled(f"run {run.id} cancelled"))
         self._kick.set()
 
@@ -929,7 +909,7 @@ class Coordinator:
                     chunk=chunk.id,
                     jobs=len(chunk),
                 )
-            if not await link.send_bytes(frame):
+            if not await link.writer.send_bytes(frame):
                 self._on_worker_death(link)
                 return
 
@@ -991,7 +971,7 @@ class Coordinator:
                 continue  # completed while an earlier send awaited
             victim.preempt_requested = True
             self.sched_stats.inc("preempt_requests")
-            await link.send(protocol.split_event(victim.id, keep=0))
+            await link.writer.send(protocol.split_event(victim.id, keep=0))
 
     async def _maybe_split(self) -> None:
         """Split aged in-flight chunks of stragglers while workers idle.
@@ -1031,7 +1011,7 @@ class Coordinator:
                     continue
                 chunk.split_requested = True
                 self.stats.inc("splits_requested")
-                await link.send(protocol.split_event(chunk.id, keep=0))
+                await link.writer.send(protocol.split_event(chunk.id, keep=0))
 
     def _split_threshold(self, link: _WorkerLink, chunk: _Chunk) -> float:
         """Age after which an in-flight chunk counts as straggling.
@@ -1061,10 +1041,7 @@ class Coordinator:
             now = time.time()
             for link in self._alive_links():
                 if now - link.last_seen > self.heartbeat_timeout:
-                    try:
-                        link.writer.close()
-                    except (ConnectionError, OSError):
-                        pass
+                    link.writer.close()
                     self._on_worker_death(link)
             # Periodic straggler check: splits must fire even when no
             # completion event has kicked the scheduler for a while.
@@ -1099,6 +1076,7 @@ class Coordinator:
         if not link.alive:
             return
         link.alive = False
+        link.writer.closed = True  # nothing more goes to a dead worker
         self.stats.inc("workers_lost")
         _WORKERS_ALIVE.dec()
         obs.EVENTS.emit(
@@ -1148,14 +1126,16 @@ class Coordinator:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        frames = wire.FrameWriter(writer)
         link: Optional[_WorkerLink] = None
-        watch_cleanups: List[Callable[[], None]] = []
+        # Pending watches of this connection by id (control clients).
+        pending: Dict[str, obs.Subscription] = {}
         try:
             while True:
                 try:
                     message = await wire.read_message(reader)
                 except wire.ProtocolError as error:
-                    await self._send_raw(writer, protocol.error_event(str(error)))
+                    await frames.send(control.error_event(None, str(error), code="bad-request"))
                     break
                 except (ConnectionError, OSError):
                     break
@@ -1163,7 +1143,7 @@ class Coordinator:
                     break
                 op = message.get("op")
                 if link is None and op == "hello":
-                    link = await self._handle_hello(message, writer)
+                    link = await self._handle_hello(message, frames)
                     if link is None:
                         break
                 elif op == "heartbeat":
@@ -1181,100 +1161,24 @@ class Coordinator:
                 elif op == "chunk_failed" and link is not None:
                     link.last_seen = time.time()
                     self._handle_chunk_failed(link, message)
-                elif op == "status":
-                    await self._send_raw(writer, self.status_event(message.get("id")))
-                elif op == "ping":
-                    await self._send_raw(writer, {"event": "pong", "id": message.get("id")})
-                elif op == "watch":
-                    await self._send_raw(
-                        writer, {"event": "watching", "id": message.get("id")}
-                    )
-                    watch_cleanups.append(
-                        self._start_watch(writer, message.get("id"))
-                    )
                 else:
-                    await self._send_raw(
-                        writer, protocol.error_event(f"unexpected op {op!r}")
-                    )
+                    task = asyncio.ensure_future(self._control.answer(frames, pending, message))
+                    self._control_tasks.add(task)
+                    task.add_done_callback(self._control_tasks.discard)
         finally:
-            for cleanup in watch_cleanups:
-                cleanup()
+            # Disconnect ends this connection's watches.
+            for subscription in list(pending.values()):
+                subscription.cancel()
             if link is not None:
                 self._on_worker_death(link)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    @staticmethod
-    async def _send_raw(writer: asyncio.StreamWriter, message: Dict[str, Any]) -> None:
-        try:
-            writer.write(wire.encode_message(message))
-            await writer.drain()
-        except (ConnectionError, RuntimeError, OSError):
-            pass
-
-    def _start_watch(
-        self, writer: asyncio.StreamWriter, request_id: Any
-    ) -> Callable[[], None]:
-        """Stream :mod:`repro.obs` events to one control client.
-
-        The bus delivers synchronously on whatever thread emitted, so a
-        subscriber bridges onto the coordinator loop and into a bounded
-        queue; a slow watcher drops its *oldest* frames (live views want
-        the present, not a complete history; counted in
-        ``repro_cluster_watch_dropped_total``) and can never stall the
-        coordinator.  Returns the cleanup closure the connection handler
-        runs on disconnect.
-        """
-        loop = self._loop or asyncio.get_running_loop()
-        queue: "asyncio.Queue[Dict[str, Any]]" = asyncio.Queue(maxsize=1024)
-
-        def enqueue(event: Dict[str, Any]) -> None:
-            dropped = obs.put_drop_oldest(queue, event)
-            if dropped:
-                self.stats.inc("watch_dropped", dropped)
-
-        def bridge(event: Dict[str, Any]) -> None:
-            loop.call_soon_threadsafe(enqueue, event)
-
-        obs.EVENTS.subscribe(bridge)
-
-        async def pump() -> None:
-            while True:
-                event = await queue.get()
-                # Frames are single write() calls, so interleaving with
-                # reply frames from the read loop stays well-formed.
-                writer.write(
-                    wire.encode_message(
-                        {"event": "obs", "id": request_id, "data": event}
-                    )
-                )
-                await writer.drain()
-
-        task = asyncio.ensure_future(pump())
-        self._watch_tasks.add(task)
-
-        def _done(finished: "asyncio.Task") -> None:
-            self._watch_tasks.discard(finished)
-            if not finished.cancelled():
-                finished.exception()  # connection died mid-write: consumed
-
-        task.add_done_callback(_done)
-
-        def cleanup() -> None:
-            obs.EVENTS.unsubscribe(bridge)
-            task.cancel()
-
-        return cleanup
+            frames.close()
+            await frames.wait_closed()
 
     async def _handle_hello(
-        self, message: Dict[str, Any], writer: asyncio.StreamWriter
+        self, message: Dict[str, Any], writer: wire.FrameWriter
     ) -> Optional[_WorkerLink]:
         if message.get("protocol") != protocol.CLUSTER_PROTOCOL_VERSION:
-            await self._send_raw(
-                writer,
+            await writer.send(
                 protocol.error_event(
                     f"cluster protocol mismatch: coordinator speaks "
                     f"{protocol.CLUSTER_PROTOCOL_VERSION}, worker {message.get('protocol')!r}"
@@ -1285,8 +1189,7 @@ class Coordinator:
         if worker_version != self._code_version:
             # Mixed-version clusters would silently break bit-identical
             # results (and the content-addressed cache keys): refuse.
-            await self._send_raw(
-                writer,
+            await writer.send(
                 protocol.error_event(
                     f"code version mismatch: coordinator {self._code_version}, "
                     f"worker {worker_version}"
@@ -1306,7 +1209,7 @@ class Coordinator:
         obs.EVENTS.emit(
             "worker_joined", worker=worker_id, name=link.name, slots=link.slots
         )
-        await link.send(protocol.welcome_event(worker_id, self.heartbeat_interval))
+        await link.writer.send(protocol.welcome_event(worker_id, self.heartbeat_interval))
         self._kick.set()  # a fresh worker immediately steals backlog
         return link
 
@@ -1478,7 +1381,7 @@ class Coordinator:
         info.update(stats.to_dict())
         return info
 
-    def status_event(self, request_id: Any = None) -> Dict[str, Any]:
+    async def status_event(self, request_id: Any = None) -> Dict[str, Any]:
         """The ``status`` reply document (also used by ``cluster status``)."""
         import repro
 

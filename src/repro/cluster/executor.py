@@ -424,16 +424,12 @@ class DistributedExecutor:
             return {"event": "status", "fallback": "serial", "workers": []}
         if self.coordinator is None or self._loop is None:
             return {"event": "status", "started": False, "workers": []}
-        future = asyncio.run_coroutine_threadsafe(self._status_async(), self._loop)
+        future = asyncio.run_coroutine_threadsafe(self.coordinator.status_event(), self._loop)
         try:
             return future.result(timeout)
         except concurrent.futures.TimeoutError:
             future.cancel()
             raise
-
-    async def _status_async(self) -> dict:
-        assert self.coordinator is not None
-        return self.coordinator.status_event()
 
     def describe(self) -> str:
         if self._fallback is not None:

@@ -67,8 +67,12 @@ to a :class:`~repro.cluster.coordinator.Coordinator`:
     Answered with ``{"event": "watching", "id": ...}`` and then a live
     stream of ``{"event": "obs", "id": ..., "data": {...}}`` frames, one
     per :mod:`repro.obs` event (``python -m repro cluster status
-    --watch`` drives its table from this stream).  The stream ends when
-    the client disconnects or the coordinator shuts down.
+    --watch`` drives its table from this stream).  The stream ends with
+    ``error`` / ``code="cancelled"`` on a ``cancel`` with the same id or
+    when the coordinator stops, and with the connection.
+``{"op": "cancel", "id": ...}``
+    Ends the watch with the same ``id``.  The control ops are shared with
+    the service (:mod:`repro.control`); their errors carry ``id`` and ``code``.
 
 Coordinator -> worker events:
 
@@ -136,7 +140,7 @@ CLUSTER_PROTOCOL_VERSION = 5
 WORKER_OPS = ("hello", "heartbeat", "chunk_done", "split_ack", "chunk_failed")
 
 #: Control-client -> coordinator ``op`` vocabulary (``cluster status``).
-CONTROL_OPS = ("status", "ping", "watch")
+CONTROL_OPS = ("status", "ping", "watch", "cancel")
 
 #: Coordinator -> peer ``event`` vocabulary (workers and control clients).
 COORDINATOR_EVENTS = (

@@ -358,8 +358,8 @@ class Worker:
         reader, writer = await wire.open_connection(
             self.host, self.port, timeout=self.connect_timeout
         )
+        frames = wire.FrameWriter(writer)
         pool = ThreadPoolExecutor(max_workers=self.slots, thread_name_prefix="chunk")
-        send_lock = asyncio.Lock()
         loop = asyncio.get_running_loop()
         heartbeat_task: Optional["asyncio.Task"] = None
         chunk_tasks: set = set()
@@ -368,15 +368,11 @@ class Worker:
         # and a `split` truncates the body's job budget via the same state.
         chunk_states: Dict[str, ChunkProgress] = {}
 
-        async def send(message: Dict[str, Any]) -> None:
-            async with send_lock:
-                writer.write(wire.encode_message(message))
-                await writer.drain()
-
         try:
-            await send(
+            if not await frames.send(
                 protocol.hello_request(self.name, os.getpid(), self.slots, code_version())
-            )
+            ):
+                return  # the coordinator is already gone
             welcome = await wire.read_message(reader)
             if welcome is None:
                 raise WorkerError("coordinator closed the connection during hello")
@@ -390,7 +386,7 @@ class Worker:
             async def heartbeat_loop() -> None:
                 while True:
                     await asyncio.sleep(interval)
-                    await send(protocol.heartbeat_request(self.worker_id or ""))
+                    await frames.send(protocol.heartbeat_request(self.worker_id or ""))
 
             async def run_chunk(
                 chunk_id: str, blob: str, trace: Optional[str] = None
@@ -413,7 +409,7 @@ class Worker:
                     return
                 except BaseException as error:  # job failure -> sweep failure
                     if not state.cancel.is_set():
-                        await send(protocol.chunk_failed_request(chunk_id, error))
+                        await frames.send(protocol.chunk_failed_request(chunk_id, error))
                     return
                 finally:
                     chunk_states.pop(chunk_id, None)
@@ -428,7 +424,7 @@ class Worker:
                     # results_overflow code so the coordinator refits the
                     # chunk smaller instead of failing the sweep; only a
                     # single job whose results alone overflow is fatal.
-                    await send(
+                    await frames.send(
                         protocol.chunk_failed_request(
                             chunk_id,
                             RuntimeError(
@@ -440,9 +436,8 @@ class Worker:
                         )
                     )
                     return
-                async with send_lock:
-                    writer.write(reply)
-                    await writer.drain()
+                if not await frames.send_bytes(reply):
+                    return  # coordinator gone: the read loop ends the worker
                 self.chunks_done += 1
                 _CHUNKS_DONE.inc()
                 _JOBS_DONE.inc(len(results))
@@ -483,7 +478,7 @@ class Worker:
                         if state is not None
                         else None
                     )
-                    await send(protocol.split_ack_request(chunk_id, kept))
+                    await frames.send(protocol.split_ack_request(chunk_id, kept))
                 elif message.get("event") == "cancel":
                     revoked = chunk_states.get(str(message.get("chunk")))
                     if revoked is not None:
@@ -509,11 +504,8 @@ class Worker:
             self._teardown_shm()
             if metrics_server is not None:
                 await metrics_server.stop()
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            frames.close()
+            await frames.wait_closed()
 
 
 def run_worker(

@@ -8,8 +8,10 @@
    together with the residual report (the Fig. 6 RMS numbers).
 
 Because the full characterisation takes a couple of seconds, the module also
-provides a process-wide cache keyed by technology name and plan, which the
-benchmarks and examples share.
+provides a process-wide cache, :func:`calibrated_suite`, which the
+benchmarks and examples share.  It is keyed on the technology card, plan
+and degrees themselves (not on the card's name), and misses are
+single-flight: threads missing the same cold card run one calibration.
 """
 
 from __future__ import annotations

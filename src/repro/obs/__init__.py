@@ -12,8 +12,9 @@ One registry, three read paths — all backed by the same counters:
 
 * ``python -m repro serve --metrics-port N`` (and ``worker`` /
   ``run`` with the same flag) scrape as Prometheus text;
-* the service's ``watch`` op streams :data:`~repro.obs.events.EVENTS`
-  to clients as NDJSON frames;
+* the ``watch`` op of the service and of the coordinator streams
+  :data:`~repro.obs.events.EVENTS` to clients as NDJSON frames, each
+  watcher through one :class:`~repro.obs.events.Subscription`;
 * the ``status`` op reads the very same counters through
   baseline-relative :class:`~repro.obs.metrics.CounterGroup` views.
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.obs.events import EVENT_TYPES, EVENTS, EventBus, put_drop_oldest
+from repro.obs.events import EVENT_TYPES, EVENTS, EventBus, Subscription, put_drop_oldest
 from repro.obs.http import CONTENT_TYPE, MetricsServer
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -65,6 +66,7 @@ __all__ = [
     "MetricsRegistry",
     "MetricsServer",
     "REGISTRY",
+    "Subscription",
     "counter",
     "gauge",
     "histogram",

@@ -3,10 +3,10 @@
 Every tier publishes what it *does* — submits accepted, chunks
 dispatched / split / stolen, cache hits and evictions, workers joining
 and dying — as small JSON-ready dicts on one process-wide bus
-(:data:`EVENTS`).  Subscribers are plain callables; the service bridges
-them onto asyncio queues to fan events out to ``watch`` clients
-(NDJSON), and the coordinator does the same for
-``python -m repro cluster status --watch``.
+(:data:`EVENTS`).  Subscribers are plain callables; a ``watch`` client
+of the service or of the coordinator (``python -m repro cluster status
+--watch``) is one :class:`Subscription`, which bridges events onto the
+server's event loop into a bounded queue.
 
 Ordering is a guarantee, not an accident: :meth:`EventBus.emit` assigns
 a monotonically increasing ``seq`` and delivers to all subscribers under
@@ -43,9 +43,9 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Counter
 
-__all__ = ["EVENT_TYPES", "EventBus", "EVENTS", "put_drop_oldest"]
+__all__ = ["EVENT_TYPES", "EventBus", "EVENTS", "Subscription", "put_drop_oldest"]
 
 #: Every event type any tier may emit; ``emit`` rejects anything else so
 #: the documented vocabulary (docs/observability.md) cannot drift.
@@ -177,3 +177,50 @@ def put_drop_oldest(queue: "asyncio.Queue", item: Any) -> int:
                 dropped += 1
             except asyncio.QueueEmpty:
                 pass
+
+
+#: Frames one watcher may have pending before its oldest are dropped.
+WATCH_QUEUE_SIZE = 1024
+
+
+class Subscription:
+    """One watcher's counted subscription to :data:`EVENTS`.
+
+    Created on the event loop that serves the watcher.  The bus delivers
+    on whatever thread emitted, so each event hops onto that loop with one
+    ``call_soon_threadsafe`` into a queue of :data:`WATCH_QUEUE_SIZE`
+    frames.  On overflow the oldest frames are dropped and counted on
+    ``dropped``, the counter of the serving tier, so a slow watcher can
+    never stall the server.
+    """
+
+    def __init__(self, dropped: Counter):
+        self.cancelled = False
+        self._dropped = dropped
+        self._loop = asyncio.get_running_loop()
+        self._queue: "asyncio.Queue[Any]" = asyncio.Queue(maxsize=WATCH_QUEUE_SIZE)
+        EVENTS.subscribe(self._bridge)
+
+    def _bridge(self, event: Dict[str, Any]) -> None:
+        self._loop.call_soon_threadsafe(self._put, event)
+
+    def _put(self, event: Dict[str, Any]) -> None:
+        dropped = put_drop_oldest(self._queue, event)
+        if dropped:
+            self._dropped.inc(dropped)
+
+    def cancel(self) -> None:
+        """End the stream (on the subscription's loop): :meth:`get` returns
+        ``None`` from now on.  The wake-up is accepted even by a full
+        queue; the frame it evicts is not counted as dropped."""
+        self.cancelled = True
+        put_drop_oldest(self._queue, None)  # wakes a waiting get()
+
+    async def get(self) -> Optional[Dict[str, Any]]:
+        """The next event, or ``None`` once the subscription is cancelled."""
+        item = await self._queue.get()
+        return None if self.cancelled else item
+
+    def close(self) -> None:
+        """Leave the bus; safe to call more than once."""
+        EVENTS.unsubscribe(self._bridge)

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import itertools
 import json
-from typing import Any, AsyncIterator, Callable, Dict, Optional, Type
+from typing import Any, Callable, Dict, Optional, Type
 
+from repro.control import ControlClient
 from repro.runtime.executors import ProgressCallback
 from repro.service import protocol
 
@@ -113,10 +113,11 @@ class SweepResult:
     trace: str = ""
 
 
-class ServiceClient:
+class ServiceClient(ControlClient):
     """One connection to a :class:`~repro.service.server.SweepService`.
 
-    The client is deliberately sequential: one outstanding request per
+    Adds :meth:`submit` to :class:`repro.control.ControlClient`.  The
+    client is deliberately sequential: one outstanding request per
     connection (open several clients for concurrency — connections are
     cheap, and the server single-flights identical sweeps anyway).
 
@@ -136,97 +137,7 @@ class ServiceClient:
         second concurrent :meth:`submit` on one connection.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self.host = host
-        self.port = port
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._request_ids = itertools.count(1)
-        self._busy = False
-        self._active_submit: Optional[str] = None
-
-    async def connect(self, timeout: Optional[float] = None) -> "ServiceClient":
-        """Open the connection; already-connected clients return immediately.
-
-        ``timeout`` enables bounded retry-with-backoff on connection
-        failures (see :func:`repro.wire.open_connection`): a server that is
-        still binding its socket — the usual race when client and server
-        start together, e.g. against a subprocess ``python -m repro serve``
-        — is retried until the deadline instead of failing instantly.
-        ``timeout=None`` keeps the historical single-attempt behaviour.
-        """
-        if self._writer is None:
-            self._reader, self._writer = await protocol.open_connection(
-                self.host, self.port, timeout=timeout, limit=protocol.MAX_MESSAGE_BYTES
-            )
-        return self
-
-    async def aclose(self) -> None:
-        """Close the connection (the server cancels any in-flight submit)."""
-        if self._writer is not None:
-            writer, self._writer, self._reader = self._writer, None, None
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def __aenter__(self) -> "ServiceClient":
-        return await self.connect()
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.aclose()
-
-    # ------------------------------------------------------------------
-    # Requests
-    # ------------------------------------------------------------------
-    async def _roundtrip(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one non-streaming request and return its matching reply.
-
-        Frames for other request ids — e.g. the terminal event of an
-        earlier submit that raced a :meth:`cancel` — are skipped, exactly
-        as the submit loop skips them; only a connection-level error
-        (``id`` null) or this request's own reply terminates the wait.
-        """
-        reader, writer = self._require_connection()
-        request_id = message.get("id")
-        writer.write(protocol.encode_message(message))
-        await writer.drain()
-        while True:
-            reply = await protocol.read_message(reader)
-            if reply is None:
-                raise ConnectionError("server closed the connection")
-            if reply.get("id") != request_id and reply.get("id") is not None:
-                continue  # stale event from an earlier, already-settled request
-            if reply.get("event") == "error":
-                raise error_from_event(reply)
-            return reply
-
-    async def ping(self) -> bool:
-        """Liveness probe; ``True`` when the server answers ``pong``."""
-        reply = await self._roundtrip(protocol.ping_request(self._next_id()))
-        return reply.get("event") == "pong"
-
-    async def status(self) -> Dict[str, Any]:
-        """Server status document (engine / cache / journal stats, limits)."""
-        return await self._roundtrip(protocol.status_request(self._next_id()))
-
-    async def cancel(self) -> bool:
-        """Abort the submit currently in flight on this connection.
-
-        Safe to call from a task running concurrently with :meth:`submit`
-        (the whole point: the submit loop owns the reader, ``cancel`` only
-        writes).  The awaiting ``submit`` raises
-        :class:`ServiceCancelledError` once the server confirms.  Returns
-        ``False`` when no submit is in flight.
-        """
-        request_id = self._active_submit
-        if request_id is None:
-            return False
-        _, writer = self._require_connection()
-        writer.write(protocol.encode_message(protocol.cancel_request(request_id)))
-        await writer.drain()
-        return True
+    _error = staticmethod(error_from_event)
 
     async def submit(
         self,
@@ -278,21 +189,11 @@ class ServiceClient:
         ServiceError
             The workload raised on the server.
         """
-        if self._busy:
-            raise RuntimeError("one request at a time per ServiceClient connection")
-        reader, writer = self._require_connection()
-        request_id = self._next_id()
-        self._busy = True
-        self._active_submit = request_id
+        request_id = self._begin()
         try:
-            writer.write(
-                protocol.encode_message(
-                    protocol.submit_request(
-                        request_id, workload, params, trace=trace, sched=sched
-                    )
-                )
+            reader = await self._send(
+                protocol.submit_request(request_id, workload, params, trace=trace, sched=sched)
             )
-            await writer.drain()
             key = ""
             deduplicated = False
             served_trace = ""
@@ -336,55 +237,7 @@ class ServiceClient:
                 elif event == "error":
                     raise error_from_event(message)
         finally:
-            self._busy = False
-            self._active_submit = None
-
-    async def watch(self) -> AsyncIterator[Dict[str, Any]]:
-        """Follow the server's live observability event stream (v3).
-
-        Async generator yielding one event dict per :mod:`repro.obs` event
-        the server emits (``seq`` / ``ts`` / ``type`` / optional ``trace``
-        plus type-specific fields) until the stream is cancelled — via
-        :meth:`cancel` from a concurrent task (the generator then simply
-        ends), the generator being closed, or the server stopping.  Like
-        :meth:`submit`, a watch owns the connection while it runs.
-        """
-        if self._busy:
-            raise RuntimeError("one request at a time per ServiceClient connection")
-        reader, writer = self._require_connection()
-        request_id = self._next_id()
-        self._busy = True
-        self._active_submit = request_id  # cancel() targets the watch too
-        try:
-            writer.write(protocol.encode_message(protocol.watch_request(request_id)))
-            await writer.drain()
-            while True:
-                message = await protocol.read_message(reader)
-                if message is None:
-                    return  # server stopped: the stream is over
-                if message.get("id") != request_id:
-                    continue
-                event = message.get("event")
-                if event == "watching":
-                    continue
-                if event == "obs":
-                    yield dict(message.get("data") or {})
-                elif event == "error":
-                    if message.get("code") == "cancelled":
-                        return  # cancelled by this client: a normal end
-                    raise error_from_event(message)
-        finally:
-            self._busy = False
-            self._active_submit = None
-
-    # ------------------------------------------------------------------
-    def _next_id(self) -> str:
-        return f"req-{next(self._request_ids)}"
-
-    def _require_connection(self) -> tuple:
-        if self._reader is None or self._writer is None:
-            raise RuntimeError("client is not connected; call connect() first")
-        return self._reader, self._writer
+            self._end()
 
 
 def run_sweep(

@@ -19,7 +19,8 @@ Client → server messages carry an ``op``:
     default, preserving pre-v4 behaviour.  Deduplicated submits keep the
     first submitter's policy (like ``trace``).
 ``{"op": "cancel", "id": <str>}``
-    Abort the in-flight submit with the same ``id`` on this connection.
+    Abort the in-flight submit or watch with the same ``id`` on this
+    connection.
     The submit terminates with an ``error`` event (``code="cancelled"``);
     the underlying sweep stops at the next job/chunk boundary once its
     *last* subscribed client has cancelled (single-flighted requests keep
@@ -84,7 +85,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-# Shared NDJSON framing, re-exported for backwards compatibility.
+# The control frames shared with the coordinator (repro.control) and the
+# shared NDJSON framing, re-exported for backwards compatibility.
+from repro.control import (  # noqa: F401  (re-exports)
+    cancel_request,
+    error_event,
+    obs_event,
+    watch_request,
+)
 from repro.wire import (  # noqa: F401  (re-exports)
     MAX_BINARY_BYTES,
     MAX_MESSAGE_BYTES,
@@ -164,19 +172,6 @@ def submit_request(
     return message
 
 
-def cancel_request(request_id: str) -> Dict[str, Any]:
-    """Abort the in-flight submit with this ``id`` on this connection."""
-    return {"op": "cancel", "id": request_id}
-
-
-def status_request(request_id: str) -> Dict[str, Any]:
-    return {"op": "status", "id": request_id}
-
-
-def ping_request(request_id: str) -> Dict[str, Any]:
-    return {"op": "ping", "id": request_id}
-
-
 def accepted_event(
     request_id: str, key: str, deduplicated: bool, trace: str = ""
 ) -> Dict[str, Any]:
@@ -187,20 +182,6 @@ def accepted_event(
         "deduplicated": deduplicated,
         "trace": trace,
     }
-
-
-def watch_request(request_id: str) -> Dict[str, Any]:
-    """Subscribe to the service's live observability event stream (v3)."""
-    return {"op": "watch", "id": request_id}
-
-
-def watching_event(request_id: str) -> Dict[str, Any]:
-    return {"event": "watching", "id": request_id}
-
-
-def obs_event(request_id: str, data: Dict[str, Any]) -> Dict[str, Any]:
-    """One streamed observability event (see :data:`repro.obs.EVENT_TYPES`)."""
-    return {"event": "obs", "id": request_id, "data": data}
 
 
 def progress_event(request_id: str, done: int, total: int, label: str) -> Dict[str, Any]:
@@ -230,13 +211,6 @@ def result_header(request_id: str, elapsed_seconds: float) -> Dict[str, Any]:
         "id": request_id,
         "elapsed_seconds": elapsed_seconds,
     }
-
-
-def error_event(
-    request_id: Optional[str], message: str, code: str = "failed"
-) -> Dict[str, Any]:
-    """Terminal failure for one request (``code`` from :data:`ERROR_CODES`)."""
-    return {"event": "error", "id": request_id, "error": message, "code": code}
 
 
 def busy_event(

@@ -56,7 +56,7 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set, Tuple
 
-from repro import obs
+from repro import control, obs, wire
 from repro.journal import JobJournal
 from repro.runtime import ArtifactCache, SweepCancelled, SweepEngine, fingerprint
 from repro.sched import SchedPolicy
@@ -73,7 +73,6 @@ _CANCELLED = object()
 _REQUESTS_TOTAL = obs.counter(
     "repro_service_requests_total", "Service requests served, by op.", labels=("op",)
 )
-_KNOWN_OPS = ("ping", "status", "submit", "cancel", "watch")
 
 #: Help strings of the service counters; each backs a registry metric and
 #: the per-instance view ``status`` reports (:class:`repro.obs.CounterGroup`).
@@ -148,9 +147,7 @@ class _PendingRequest:
     def cancel(self) -> None:
         self.cancelled = True
         if self.queue is not None:
-            # Drop-oldest: a bounded queue (watch streams) must accept the
-            # wake-up sentinel even when full.
-            obs.put_drop_oldest(self.queue, _CANCELLED)
+            self.queue.put_nowait(_CANCELLED)
 
 
 async def _send_result(
@@ -177,46 +174,15 @@ async def _send_result(
     return await connection.send(protocol.result_event(request_id, payload, elapsed))
 
 
-class _Connection:
-    """One client link with writes serialised behind an asyncio lock."""
+class _Connection(wire.FrameWriter):
+    """One client link: its frame writer plus its pending requests."""
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self.reader = reader
-        self.writer = writer
-        self.closed = False
-        self._send_lock = asyncio.Lock()
-        # Backpressure state, mutated synchronously on the event loop.
-        self.pending: Dict[str, _PendingRequest] = {}
+    def __init__(self, writer: asyncio.StreamWriter):
+        super().__init__(writer)
+        # Pending requests and backpressure state, mutated on the event loop.
+        self.pending: Dict[str, Any] = {}
         self.queued_bytes = 0
         self.bucket: Optional[_TokenBucket] = None
-
-    async def send(self, message: Dict[str, Any]) -> bool:
-        """Write one message; returns ``False`` once the peer is gone."""
-        return await self.send_bytes(protocol.encode_message(message))
-
-    async def send_bytes(self, data: bytes) -> bool:
-        """Write pre-encoded frame bytes (also binary frames, whose payload
-        follows the header line); returns ``False`` once the peer is gone."""
-        if self.closed:
-            return False
-        async with self._send_lock:
-            if self.closed:
-                return False
-            try:
-                self.writer.write(data)
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError, OSError):
-                self.closed = True
-                return False
-        return True
-
-    async def close(self) -> None:
-        self.closed = True
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 @dataclasses.dataclass
@@ -334,7 +300,7 @@ class SweepService:
         # the process-wide metrics registry: the per-instance view starts
         # at zero, the Prometheus endpoint sees process-lifetime totals.
         self._counters = obs.CounterGroup(_COUNTERS)
-        self._watch_entries: Set[_PendingRequest] = set()
+        self._control = control.ControlPlane(self._status_event, _COUNTERS["watch_dropped"])
         self._cluster_status_error: Optional[str] = None
         # Bridge from the obs bus to the journal: coordinator-side
         # preempted/resumed events become paused/resumed transition
@@ -461,8 +427,7 @@ class SweepService:
         # End every live watch stream first: a watcher is a request task
         # that never finishes on its own, and the request-task drain below
         # would otherwise wait on it forever.
-        for entry in list(self._watch_entries):
-            entry.cancel()
+        self._control.stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -476,7 +441,7 @@ class SweepService:
         while self._request_tasks:
             await asyncio.gather(*list(self._request_tasks), return_exceptions=True)
         for connection in list(self._connections):
-            await connection.close()
+            connection.close()
         if self._handler_tasks:
             await asyncio.gather(*list(self._handler_tasks), return_exceptions=True)
         self._pool.shutdown(wait=True)
@@ -491,7 +456,7 @@ class SweepService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        connection = _Connection(reader, writer)
+        connection = _Connection(writer)
         if self.rate is not None:
             connection.bucket = _TokenBucket(
                 self.rate, self.burst if self.burst is not None else max(1.0, self.rate)
@@ -534,7 +499,8 @@ class SweepService:
             if requests:
                 await asyncio.gather(*list(requests), return_exceptions=True)
             self._connections.discard(connection)
-            await connection.close()
+            connection.close()
+            await connection.wait_closed()
             if task is not None:
                 self._handler_tasks.discard(task)
 
@@ -555,16 +521,9 @@ class SweepService:
         if message.get("op") != "submit":
             return None
         request_id = message.get("id")
-        if not isinstance(request_id, str):
-            return protocol.error_event(
-                None, "submit requires a string id", code="bad-request"
-            )
-        if request_id in connection.pending:
-            return protocol.error_event(
-                request_id,
-                f"request id {request_id!r} is already in flight on this connection",
-                code="bad-request",
-            )
+        rejection = control.claim(connection.pending, request_id, "submit")
+        if rejection is not None:
+            return rejection
         if (
             self.max_inflight is not None
             and len(connection.pending) >= self.max_inflight
@@ -640,121 +599,15 @@ class SweepService:
             )
             return
         op = message.get("op")
-        _REQUESTS_TOTAL.inc(op=op if op in _KNOWN_OPS else "other")
-        if op == "ping":
-            await connection.send({"event": "pong", "id": request_id})
-        elif op == "status":
-            status = self._status_event(request_id)
-            # The distributed executor's scheduler stats come from the
-            # coordinator's own event loop (a blocking round-trip), so they
-            # are gathered off this loop.  The key is only present under a
-            # distributed engine — its presence is the documented signal.
-            cluster = await self._cluster_status()
-            if cluster is not None:
-                status["cluster"] = cluster
-            await connection.send(status)
-        elif op == "cancel":
-            await self._handle_cancel(connection, request_id)
-        elif op == "submit":
+        _REQUESTS_TOTAL.inc(op=op if op in protocol.SERVICE_OPS else "other")
+        if op == "submit":
             assert isinstance(request_id, str)  # _admit() guaranteed it
             try:
                 await self._handle_submit(connection, message, request_id)
             finally:
                 self._release(connection, request_id)
-        elif op == "watch":
-            await self._handle_watch(connection, request_id)
         else:
-            await connection.send(
-                protocol.error_event(
-                    request_id,
-                    f"unknown op {op!r} (ping/status/submit/cancel/watch)",
-                    code="bad-request",
-                )
-            )
-
-    async def _handle_cancel(
-        self, connection: _Connection, request_id: Optional[str]
-    ) -> None:
-        """Wake the matching in-flight submit; it answers ``cancelled``."""
-        entry = connection.pending.get(request_id) if request_id else None
-        if entry is None:
-            # Nothing in flight under this id (never was, or its terminal
-            # event already went out — a cancel can lose that race).  The
-            # client skips frames for ids it is no longer waiting on.
-            await connection.send(
-                protocol.error_event(
-                    request_id,
-                    f"no in-flight submit with id {request_id!r} to cancel",
-                    code="bad-request",
-                )
-            )
-            return
-        entry.cancel()
-
-    async def _handle_watch(
-        self, connection: _Connection, request_id: Optional[str]
-    ) -> None:
-        """Stream :mod:`repro.obs` events to one subscriber until cancelled.
-
-        The bus delivers synchronously on whatever thread emitted (sweep
-        worker threads, the cluster loop, this loop), so a subscriber
-        bridges events onto the service loop into a bounded per-watcher
-        queue; a slow watcher drops its *oldest* frames (counted in
-        ``repro_service_watch_dropped_total``) and can never stall the
-        server.  The stream is a pending request like a submit: a
-        ``cancel`` op with the same id ends it with ``code="cancelled"``,
-        and disconnect / :meth:`stop` do too.
-        """
-        if not isinstance(request_id, str):
-            await connection.send(
-                protocol.error_event(
-                    None, "watch requires a string id", code="bad-request"
-                )
-            )
-            return
-        if request_id in connection.pending:
-            await connection.send(
-                protocol.error_event(
-                    request_id,
-                    f"request id {request_id!r} is already in flight on this connection",
-                    code="bad-request",
-                )
-            )
-            return
-        assert self._loop is not None, "service not started"
-        loop = self._loop
-        queue: "asyncio.Queue" = asyncio.Queue(maxsize=1024)
-        entry = _PendingRequest(cost=0)
-        entry.queue = queue
-        connection.pending[request_id] = entry
-        self._watch_entries.add(entry)
-
-        def enqueue(event: Dict[str, Any]) -> None:
-            dropped = obs.put_drop_oldest(queue, event)
-            if dropped:
-                self._counters.inc("watch_dropped", dropped)
-
-        def bridge(event: Dict[str, Any]) -> None:
-            loop.call_soon_threadsafe(enqueue, event)
-
-        obs.EVENTS.subscribe(bridge)
-        try:
-            await connection.send(protocol.watching_event(request_id))
-            while True:
-                item = await queue.get()
-                if item is _CANCELLED or entry.cancelled:
-                    await connection.send(
-                        protocol.error_event(
-                            request_id, "watch cancelled", code="cancelled"
-                        )
-                    )
-                    return
-                if not await connection.send(protocol.obs_event(request_id, item)):
-                    return  # peer gone mid-stream
-        finally:
-            obs.EVENTS.unsubscribe(bridge)
-            self._watch_entries.discard(entry)
-            self._release(connection, request_id)
+            await self._control.answer(connection, connection.pending, message)
 
     async def _cluster_status(self) -> Optional[Dict[str, Any]]:
         """Scheduler statistics of a distributed engine executor, or None.
@@ -794,7 +647,7 @@ class SweepService:
             return None
         return document
 
-    def _status_event(self, request_id: Optional[str]) -> Dict[str, Any]:
+    async def _status_event(self, request_id: Optional[str]) -> Dict[str, Any]:
         import repro
 
         cache = self.engine.cache
@@ -805,7 +658,7 @@ class SweepService:
                 "pending": len(self._journal_pending),
                 "resumed": self.resumed_jobs,
             }
-        return {
+        status = {
             "event": "status",
             "id": request_id,
             "protocol": protocol.PROTOCOL_VERSION,
@@ -826,10 +679,18 @@ class SweepService:
             "jobs_cancelled": self.jobs_cancelled,
             "status_cluster_errors": self._counters["status_cluster_errors"],
             "cluster_status_error": self._cluster_status_error,
-            "watchers": len(self._watch_entries),
+            "watchers": len(self._control.watches),
             "journal": journal_info,
             "sched": {"in_flight_by_class": self._flights_by_class()},
         }
+        # The distributed executor's scheduler stats come from the
+        # coordinator's own event loop (a blocking round-trip), so they
+        # are gathered off this loop.  The key is only present under a
+        # distributed engine — its presence is the documented signal.
+        cluster = await self._cluster_status()
+        if cluster is not None:
+            status["cluster"] = cluster
+        return status
 
     def _flights_by_class(self) -> Dict[str, int]:
         """In-flight sweeps per scheduling class (untagged = batch)."""

@@ -241,6 +241,53 @@ def unpack_arrays(
     return arrays
 
 
+class FrameWriter:
+    """Whole-frame writes on one stream, serialised behind an asyncio lock,
+    so concurrent senders can never interleave two frames.  A failed write
+    closes the writer: from then on sends return ``False``, never raise."""
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self.writer = writer
+        self.closed = False
+        self._lock = asyncio.Lock()
+
+    async def send(self, message: Dict[str, Any]) -> bool:
+        """Write one message; ``False`` once the peer is gone."""
+        return await self.send_bytes(encode_message(message))
+
+    async def send_bytes(self, data: bytes) -> bool:
+        """Write pre-encoded frame bytes (also a binary frame's header plus
+        payload); ``False`` once the peer is gone."""
+        if self.closed:
+            return False
+        async with self._lock:
+            if self.closed:
+                return False
+            try:
+                self.writer.write(data)
+                await self.writer.drain()
+            except (ConnectionError, RuntimeError, OSError):
+                self.closed = True
+                return False
+        return True
+
+    def close(self) -> None:
+        """Refuse further frames and close the stream without waiting (a
+        peer that stopped reading cannot stall the caller)."""
+        self.closed = True
+        try:
+            self.writer.close()
+        except (ConnectionError, OSError):
+            pass
+
+    async def wait_closed(self) -> None:
+        """Wait until a :meth:`close`-d stream has shut down."""
+        try:
+            await self.writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
 async def open_connection(
     host: str,
     port: int,

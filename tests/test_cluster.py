@@ -1020,3 +1020,101 @@ class TestClusterWatch:
             == 2
         )
         assert "--duration" in capsys.readouterr().err
+
+
+class TestControlPlane:
+    """The coordinator's watch is a pending request, as on the service."""
+
+    @staticmethod
+    def _scenario(body):
+        import asyncio
+
+        from repro.cluster import Coordinator
+
+        async def scenario():
+            coordinator = Coordinator()
+            host, port = await coordinator.start()
+            reader, writer = await wire.open_connection(host, port, timeout=10.0)
+
+            async def request(message):
+                writer.write(wire.encode_message(message))
+                await writer.drain()
+                return await wire.read_message(reader)
+
+            try:
+                return await body(coordinator, request, writer)
+            finally:
+                writer.close()
+                await coordinator.stop()
+
+        return asyncio.run(asyncio.wait_for(scenario(), START_TIMEOUT))
+
+    def test_cancel_ends_the_watch_and_the_connection_survives(self):
+        async def body(coordinator, request, writer):
+            ack = await request({"op": "watch", "id": "w1"})
+            ended = await request({"op": "cancel", "id": "w1"})
+            pong = await request({"op": "ping", "id": "p1"})
+            return ack, ended, pong, len(coordinator._control.watches)
+
+        ack, ended, pong, watches = self._scenario(body)
+        assert ack == {"event": "watching", "id": "w1"}
+        assert ended["event"] == "error" and ended["id"] == "w1"
+        assert ended["code"] == "cancelled"
+        assert pong == {"event": "pong", "id": "p1"}
+        assert watches == 0
+
+    def test_duplicate_watch_id_is_a_bad_request(self):
+        async def body(coordinator, request, writer):
+            await request({"op": "watch", "id": "w1"})
+            return await request({"op": "watch", "id": "w1"})
+
+        duplicate = self._scenario(body)
+        assert duplicate["event"] == "error" and duplicate["id"] == "w1"
+        assert duplicate["code"] == "bad-request"
+
+    def test_disconnect_leaves_no_bus_subscriber(self):
+        import asyncio
+
+        from repro import obs
+
+        async def body(coordinator, request, writer):
+            before = obs.EVENTS.subscriber_count()
+            await request({"op": "watch", "id": "w1"})
+            during = obs.EVENTS.subscriber_count()
+            writer.close()
+            while coordinator._control.watches:
+                await asyncio.sleep(0.01)
+            return before, during, obs.EVENTS.subscriber_count()
+
+        before, during, after = self._scenario(body)
+        assert during == before + 1
+        assert after == before
+
+    def test_fetch_status_raises_control_error_on_an_error_reply(self):
+        import socket
+        import threading
+
+        from repro.cluster import ControlError
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def answer_with_error():
+            connection, _ = listener.accept()
+            with connection:
+                connection.makefile("rb").readline()
+                connection.sendall(
+                    wire.encode_message(
+                        {"event": "error", "id": None, "error": "boom", "code": "failed"}
+                    )
+                )
+
+        server = threading.Thread(target=answer_with_error)
+        server.start()
+        try:
+            with pytest.raises(ControlError, match="boom"):
+                fetch_status(f"127.0.0.1:{port}", timeout=10.0)
+        finally:
+            server.join(timeout=10.0)
+            listener.close()
+        assert not server.is_alive()

@@ -352,7 +352,7 @@ class TestServiceObservability:
                                 return
 
                     consumer = asyncio.create_task(consume())
-                    while not service._watch_entries:  # subscription is live
+                    while not service._control.watches:  # subscription is live
                         await asyncio.sleep(0.01)
                     async with ServiceClient(host, port) as client:
                         result = await client.submit(
@@ -385,7 +385,7 @@ class TestServiceObservability:
                         return "ended"
 
                     task = asyncio.create_task(consume())
-                    while not service._watch_entries:
+                    while not service._control.watches:
                         await asyncio.sleep(0.01)
                     assert await watcher.cancel() is True
                     outcome = await asyncio.wait_for(task, 5.0)
@@ -407,7 +407,7 @@ class TestServiceObservability:
                         pass
 
             task = asyncio.create_task(consume())
-            while not service._watch_entries:
+            while not service._control.watches:
                 await asyncio.sleep(0.01)
             await service.stop()  # must cancel the watcher, not wait on it
             await asyncio.wait_for(task, 5.0)
@@ -441,7 +441,7 @@ class TestServiceObservability:
                                     return
 
                         consumer = asyncio.create_task(consume())
-                        while not service._watch_entries:
+                        while not service._control.watches:
                             await asyncio.sleep(0.01)
                         async with ServiceClient(host, port) as client:
                             result = await client.submit("obs-toy", {"n": 5})
@@ -502,6 +502,24 @@ class TestWatchDrops:
         assert [obs.put_drop_oldest(queue, item) for item in range(5)] == [0, 0, 0, 1, 1]
         assert [queue.get_nowait() for _ in range(3)] == [2, 3, 4]
 
+    def test_subscription_counts_overflow_and_accepts_the_wake_up(self):
+        async def scenario():
+            subscribers = obs.EVENTS.subscriber_count()
+            dropped = obs.MetricsRegistry().counter("repro_t_dropped_total")
+            subscription = obs.Subscription(dropped)
+            _emit_burst()
+            await asyncio.sleep(0)  # the bridged puts run on this loop
+            subscription.cancel()  # lands on a full queue
+            ended = await subscription.get()
+            subscription.close()
+            return subscribers, dropped.value(), ended, obs.EVENTS.subscriber_count()
+
+        before, dropped, ended, after = run(scenario())
+        assert obs.events.WATCH_QUEUE_SIZE == WATCH_QUEUE
+        assert dropped == BURST - WATCH_QUEUE
+        assert ended is None
+        assert after == before
+
     def test_service_counts_dropped_watch_frames(self):
         counter = obs.counter("repro_service_watch_dropped_total")
         before = counter.value()
@@ -520,7 +538,7 @@ class TestWatchDrops:
                                     return
 
                     task = asyncio.create_task(consume())
-                    while not service._watch_entries:  # subscription is live
+                    while not service._control.watches:  # subscription is live
                         await asyncio.sleep(0.01)
                     _emit_burst()
                     await asyncio.wait_for(task, TIMEOUT)
@@ -548,7 +566,7 @@ class TestWatchDrops:
                 await writer.drain()
                 ack = await wire.read_message(reader)
                 assert ack["event"] == "watching"
-                while not coordinator._watch_tasks:  # subscription is live
+                while not coordinator._control.watches:  # subscription is live
                     await asyncio.sleep(0.01)
                 _emit_burst()
                 received = []
@@ -573,3 +591,55 @@ class TestWatchDrops:
         assert status_stats["watch_dropped"] == BURST - WATCH_QUEUE
         assert counter.value() - before == BURST - WATCH_QUEUE
         assert received == list(range(BURST - WATCH_QUEUE, BURST))
+
+
+# ----------------------------------------------------------------------
+# One control client against both servers
+# ----------------------------------------------------------------------
+@contextlib.asynccontextmanager
+async def _running_coordinator():
+    from repro.cluster import Coordinator
+
+    coordinator = Coordinator()
+    await coordinator.start()
+    try:
+        yield coordinator
+    finally:
+        await coordinator.stop()
+
+
+@pytest.mark.parametrize("server", ["service", "coordinator"])
+def test_one_control_client_drives_both_servers(server):
+    from repro.control import ControlClient
+
+    async def scenario():
+        running = (
+            running_service(SweepEngine()) if server == "service" else _running_coordinator()
+        )
+        async with running as endpoint:
+            host, port = endpoint.address
+            async with ControlClient(host, port) as client:
+                alive = await client.ping()
+                status = await client.status()
+                events = []
+
+                async def consume():
+                    async for event in client.watch():
+                        events.append(event)
+                        if event.get("trace") == "control-plane":
+                            await client.cancel()
+                    return "ended"
+
+                consumer = asyncio.create_task(consume())
+                while not endpoint._control.watches:  # subscription is live
+                    await asyncio.sleep(0.01)
+                obs.EVENTS.emit("run_started", trace="control-plane", jobs=1)
+                outcome = await asyncio.wait_for(consumer, TIMEOUT)
+                still_alive = await client.ping()
+        return alive, status, events, outcome, still_alive
+
+    alive, status, events, outcome, still_alive = run(scenario())
+    assert alive is True and still_alive is True
+    assert status["event"] == "status" and "protocol" in status
+    assert [e["trace"] for e in events if "trace" in e][-1] == "control-plane"
+    assert outcome == "ended"
